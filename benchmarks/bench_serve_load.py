@@ -20,7 +20,7 @@ root:
    Zero non-shed requests may fail, and the swap must be visible in the
    served generation.
 4. **Kill-one-shard under load** — the same clients hammer a sharded
-   service while one shard worker is killed mid-run.  Zero requests may
+   service while one shard worker process is SIGKILLed mid-run.  Zero requests may
    hang past their deadline, affected responses degrade to ``partial``
    with coverage detail instead of failing, and the supervisor must
    restore full coverage before the run ends.
@@ -261,7 +261,7 @@ def bench_kill_shard(tree, queries, seconds: float = 1.2) -> dict:
     grace = 2.0  # scheduling slack; a hang would blow far past this
     transactions = [Transaction(tid, sig) for tid, sig in tree.items()]
     partitions = partition_transactions(transactions, n_shards)
-    handles = make_shard_handles(partitions, tree.n_bits, mode="thread")
+    handles = make_shard_handles(partitions, tree.n_bits)
     supervisor = ShardSupervisor(
         handles, probe_interval=0.15,
         backoff=Backoff(initial=0.01, factor=2.0, max_delay=0.1,

@@ -1,6 +1,7 @@
 """Cooperative cross-shard kNN pruning vs merge-at-end scatter-gather.
 
-Runs the same kNN workload against a 4-shard :class:`ShardedTree` two
+Runs the same kNN workload against a 4-shard :class:`ShardedTree` (one
+worker process per shard, as ``serve --shards`` runs them) two
 ways — the baseline coordinator (``bound_sharing=False``: every shard
 prunes on its own local k-th distance, results merge only at the end)
 and the cooperative coordinator (pilot-shard routing seeds the global
@@ -71,7 +72,7 @@ def run_benchmark(k: int = K, n_shards: int = N_SHARDS) -> dict:
         reference_tree.nearest(query, k=k, stats=single_stats)
 
     partitions, router = partition_routed(workload.transactions, n_shards)
-    handles = make_shard_handles(partitions, workload.n_bits, mode="thread")
+    handles = make_shard_handles(partitions, workload.n_bits)
     rows = {}
     try:
         baseline = ShardedTree(

@@ -262,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partition the index across N supervised shard "
                             "workers with scatter-gather, circuit breakers, "
                             "and partial results (default 0 = single tree)")
-    serve.add_argument("--shard-mode", choices=("process", "thread"),
-                       default="process",
-                       help="shard worker kind: OS processes (default) or "
-                            "in-process threads")
     serve.add_argument("--quorum", type=int, default=None,
                        help="shards that must be up for readiness "
                             "(default: a majority)")
@@ -724,9 +720,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pager.close()  # shards rebuild from the rows; the source is done
         pager = None
         partitions, router = partition_routed(transactions, args.shards)
-        handles = make_shard_handles(
-            partitions, n_bits, mode=args.shard_mode, telemetry=telemetry
-        )
+        handles = make_shard_handles(partitions, n_bits, telemetry=telemetry)
         supervisor = ShardSupervisor(handles, telemetry=telemetry).start()
         service = ShardedQueryService(
             ShardedTree(
@@ -762,7 +756,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = make_server(service, host=args.host, port=args.port)
         host, port = server.server_address[:2]
         sharding = (
-            f"shards={args.shards}({args.shard_mode}, "
+            f"shards={args.shards}("
             f"{'no-' if args.no_bound_sharing else ''}bound-sharing)"
             if args.shards > 0 else "single-tree"
         )

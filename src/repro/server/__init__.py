@@ -17,7 +17,7 @@ are re-exported here for callers handling serving errors.
 """
 
 from ..errors import CircuitOpen, RetryExhausted, ShardError, ShardUnavailable
-from .bounds import DEFAULT_BOUND_INTERVAL, CooperativeBound, GlobalBound
+from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
 from .http import ServingHTTPServer, make_server, serve_forever
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
 from .service import QueryService, ReloadInProgress, RequestShed, ServedQuery
@@ -57,7 +57,6 @@ __all__ = [
     "Coverage",
     # cooperative cross-shard pruning
     "GlobalBound",
-    "CooperativeBound",
     "DEFAULT_BOUND_INTERVAL",
     # typed shard failures (defined in repro.errors)
     "ShardError",

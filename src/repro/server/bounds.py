@@ -21,17 +21,12 @@ the bound a first-class shared object:
     dying after reporting a tight bound can never cause a result it
     justified to go missing.
 
-* :class:`CooperativeBound` is the worker-side channel for in-process
-  (thread-mode) shards: a per-request view over the shared
-  :class:`GlobalBound` that the search engines poll every
-  ``interval`` node visits, piggybacking on the per-visit deadline
-  checkpoint.  ``exchange(heap)`` folds the worker's current top-k
-  *pairs* into the global cell and returns the (possibly tighter)
-  global threshold for the engine to adopt.
-
-Process-mode shards speak the same exchange over the wire instead
-(``bound_report`` / ``bound_update`` messages — see
-:mod:`repro.server.shard`).
+Shard workers reach the cell over their pipe: the search engines poll a
+per-request channel every ``interval`` node visits, piggybacking on the
+per-visit deadline checkpoint; the channel sends the worker's current
+top-k *pairs* up as a ``bound_report``, the coordinator folds them in
+and answers with a ``bound_update`` carrying the (possibly tighter)
+global threshold for the engine to adopt (see :mod:`repro.server.shard`).
 
 Why a stale bound is always safe (the argument DESIGN.md §13 spells
 out): a shard caps its heap at threshold ``c`` and therefore returns
@@ -51,7 +46,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Sequence
 
-__all__ = ["DEFAULT_BOUND_INTERVAL", "GlobalBound", "CooperativeBound"]
+__all__ = ["DEFAULT_BOUND_INTERVAL", "GlobalBound"]
 
 #: Node visits between two bound exchanges inside a shard traversal.
 #: Small enough that a tight bound propagates while traversals are
@@ -68,8 +63,8 @@ class GlobalBound:
     tid)`` pairs in; the cell keeps the best ``k`` seen so far and
     publishes their k-th distance as the global threshold.
 
-    Thread-safe: folds arrive concurrently from scatter threads, the
-    process-worker receive loop, and in-process worker threads.
+    Thread-safe: folds arrive concurrently from scatter threads and the
+    process workers' receive loops.
     """
 
     def __init__(self, k: int):
@@ -143,22 +138,3 @@ class GlobalBound:
                 (distance, tid) for tid, distance in self._candidates.items()
             )
 
-
-class CooperativeBound:
-    """Per-request bound channel for an in-process (thread-mode) shard.
-
-    The search engines duck-type this: ``interval`` node visits between
-    exchanges, ``exchange(heap) -> float`` returning the freshest global
-    threshold.  For thread workers the "wire" is just the shared
-    :class:`GlobalBound` — one lock acquisition per exchange.
-    """
-
-    __slots__ = ("global_bound", "interval")
-
-    def __init__(self, global_bound: GlobalBound,
-                 interval: int = DEFAULT_BOUND_INTERVAL):
-        self.global_bound = global_bound
-        self.interval = max(1, int(interval))
-
-    def exchange(self, heap) -> float:
-        return self.global_bound.fold(heap.pairs(), report=True)

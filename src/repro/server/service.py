@@ -528,19 +528,27 @@ class QueryService:
         if isinstance(items, Signature):
             return items
         if n_bits is None:
-            n_bits = self._tree.n_bits
+            n_bits = self._n_bits()
         return Signature.from_items(list(items), n_bits)
+
+    def _n_bits(self) -> int:
+        """Signature length of the index serving right now."""
+        return self._tree.n_bits
 
     def _retrying(self, fn: "Callable[[], ServedQuery]") -> ServedQuery:
         """Absorb the signature/generation race around a hot-swap.
 
         A query that built its signature just before a swap to an index
         with a different ``n_bits`` fails with a shape ``ValueError``;
-        one rebuild against the new generation resolves it.
+        one rebuild against the new generation resolves it.  Any other
+        ``ValueError`` is the request's own fault and is raised as is.
         """
+        n_bits = self._n_bits()
         try:
             return fn()
         except ValueError:
+            if self._n_bits() == n_bits:
+                raise
             return fn()
 
     # -- execution hooks ---------------------------------------------------

@@ -8,12 +8,10 @@ that keeps answering when individual shards crash, wedge, or slow down:
   orderings of :mod:`repro.sgtree.bulkload` — similar transactions land
   in the same shard, so per-shard pruning stays as tight as the paper's
   single-tree bounds;
-* :class:`ThreadShardWorker` / :class:`ProcessShardWorker` run one shard
-  tree behind a request/response mailbox — in-process threads for tests
-  and embedding, ``multiprocessing`` processes for real CPU scale-out —
-  both speaking the same picklable wire protocol and both accepting a
-  seeded :class:`~repro.storage.faults.ShardChaos` stream for fault
-  campaigns;
+* :class:`ProcessShardWorker` runs one shard tree in its own
+  ``multiprocessing`` process behind a duplex pipe, speaking a picklable
+  request/response protocol, and accepts a seeded
+  :class:`~repro.storage.faults.ShardChaos` stream for fault campaigns;
 * :class:`ShardHandle` supervises one worker: a per-shard
   :class:`~repro.server.resilience.CircuitBreaker`, a deadline-aware
   :class:`~repro.server.resilience.RetryPolicy`, restart bookkeeping,
@@ -36,7 +34,7 @@ full-index answer, and every degraded kNN hit carries its true distance
 responded, never a fabricated or mis-scored result.
 
 Concurrency model: each worker owns a plain single-threaded
-:class:`~repro.sgtree.tree.SGTree` behind its mailbox — requests are
+:class:`~repro.sgtree.tree.SGTree` behind its pipe — requests are
 serialised per shard, so no latching is needed inside a worker.  A
 supervisor restart rebuilds the shard's tree and is, from the
 coordinator's view, an atomic whole-tree publish: the same
@@ -47,8 +45,8 @@ as a new worker ``generation``/``tree_generation``.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import queue
 import threading
 import time
 from bisect import bisect_left
@@ -74,7 +72,7 @@ from ..sgtree.bulkload import bulk_load, gray_sort_order, minhash_order
 from ..sgtree.search import Deadline, Neighbor, SearchStats
 from ..sgtree.tree import SGTree
 from ..telemetry.tracing import TraceContext, Tracer
-from .bounds import DEFAULT_BOUND_INTERVAL, CooperativeBound, GlobalBound
+from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
 from .service import QueryService, ServedQuery, _stats_doc, _store_health
 
@@ -83,7 +81,6 @@ __all__ = [
     "partition_routed",
     "ShardRouter",
     "Coverage",
-    "ThreadShardWorker",
     "ProcessShardWorker",
     "ShardHandle",
     "ShardedTree",
@@ -96,6 +93,9 @@ DEFAULT_CALL_TIMEOUT = 30.0
 
 #: How often a bounded wait re-checks liveness and expiry.
 POLL_INTERVAL = 0.02
+
+#: Upper bound on waiting for a killed worker process to exit.
+KILL_JOIN_TIMEOUT = 5.0
 
 
 def _span(trace, name: str, **attrs: object):
@@ -234,7 +234,7 @@ def partition_transactions(
 
 
 # ---------------------------------------------------------------------------
-# wire protocol (shared by both worker kinds; everything picklable)
+# wire protocol (everything picklable)
 
 
 def _build_shard_tree(n_bits: int, rows: "list[tuple[int, tuple[int, ...]]]",
@@ -261,10 +261,9 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
 
     Cooperative pruning hooks: a kNN request may carry an
     ``initial_threshold`` (the coordinator's k-th-distance seed, applied
-    before the first node is visited) and ``bound`` may be a per-request
-    exchange channel (:class:`~repro.server.bounds.CooperativeBound` for
-    thread workers, :class:`_PipeBound` for process workers) the engines
-    poll every ``bound.interval`` node visits.  ``batch_knn`` accepts
+    before the first node is visited) and ``bound`` may be the request's
+    :class:`_PipeBound` exchange channel, which the engines poll every
+    ``bound.interval`` node visits.  ``batch_knn`` accepts
     per-query ``initial_thresholds`` the same way.
     """
     op = request["op"]
@@ -373,110 +372,6 @@ class _PendingCall:
 # workers
 
 
-class ThreadShardWorker:
-    """One shard tree behind a request queue on a daemon thread.
-
-    The in-process twin of :class:`ProcessShardWorker` — same wire
-    protocol, same chaos hooks, none of the spawn cost — used by the
-    test suite and by ``serve --shard-mode thread``.  ``build_tree`` is
-    called in the constructor; a supervisor restart therefore rebuilds
-    the shard from source, exactly like a fresh process would (which is
-    also what heals a shard whose pager went bad).
-
-    A chaos ``"kill"`` makes the worker die *without answering the
-    in-flight request* — the abandoned caller is bounded by its own
-    deadline, which is precisely the property the chaos campaign
-    verifies.  Requests still queued when the worker dies are failed
-    fast with a ``ShardUnavailable`` response.
-    """
-
-    mode = "thread"
-
-    def __init__(
-        self,
-        build_tree: "Callable[[], SGTree]",
-        shard_id: int = 0,
-        chaos=None,
-        name: "str | None" = None,
-    ):
-        self.shard_id = shard_id
-        self.chaos = chaos
-        self._tree = build_tree()
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._alive = True
-        self._thread = threading.Thread(
-            target=self._loop,
-            name=name or f"sgtree-shard-{shard_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def is_alive(self) -> bool:
-        return self._alive and self._thread.is_alive()
-
-    def submit(self, request: dict, bound: "GlobalBound | None" = None,
-               ) -> _PendingCall:
-        if not self.is_alive():
-            raise ShardUnavailable("worker is down", shard_id=self.shard_id)
-        pending = _PendingCall()
-        self._queue.put((request, pending, bound))
-        return pending
-
-    def kill(self) -> None:
-        """Hard-stop the worker (supervision tests, bench kill-shard)."""
-        self._alive = False
-        self._queue.put(None)  # wake the loop so it notices
-
-    def close(self) -> None:
-        self.kill()
-
-    def _loop(self) -> None:
-        try:
-            while True:
-                item = self._queue.get()
-                if item is None or not self._alive:
-                    return
-                request, pending, bound = item
-                if self.chaos is not None:
-                    action = self.chaos.draw()
-                    if action == "kill":
-                        # Die mid-query: the in-flight request is
-                        # abandoned, like a killed process.
-                        self._alive = False
-                        return
-                    if action == "latency":
-                        time.sleep(self.chaos.plan.latency_seconds)
-                channel = None
-                if bound is not None:
-                    # In-process shards exchange through the shared cell
-                    # directly — no wire messages, one lock per exchange.
-                    channel = CooperativeBound(
-                        bound,
-                        request.get("bound_interval", DEFAULT_BOUND_INTERVAL),
-                    )
-                response = _handle_request(self._tree, request, bound=channel)
-                response["id"] = request.get("id")
-                pending.resolve(response)
-        finally:
-            self._alive = False
-            self._fail_queued()
-
-    def _fail_queued(self) -> None:
-        """Fail fast whatever was queued behind the death."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is None:
-                continue
-            request, pending, _bound = item
-            pending.resolve({
-                "id": request.get("id"), "ok": False,
-                "error": "ShardUnavailable", "message": "worker died",
-            })
-
-
 class _PipeBound:
     """Worker-process side of the ``bound_report``/``bound_update``
     exchange: publish the heap's top-k up the pipe, drain whatever the
@@ -521,22 +416,11 @@ class _PipeBound:
         return self._latest
 
 
-def _process_worker_main(conn, shard_id: int, n_bits: int, rows,
-                         tree_kwargs, chaos_cfg) -> None:
+def _process_worker_main(conn, build_tree, chaos) -> None:
     """Entry point of a shard process: build the tree, serve the pipe."""
     import os
 
-    chaos = None
-    if chaos_cfg is not None:
-        from ..storage.faults import ChaosPlan
-
-        seed, kill_rate, latency_rate, latency_seconds, incarnation = chaos_cfg
-        plan = ChaosPlan(
-            seed=seed, kill_rate=kill_rate, latency_rate=latency_rate,
-            latency_seconds=latency_seconds,
-        )
-        chaos = plan.for_shard(shard_id, incarnation=incarnation)
-    tree = _build_shard_tree(n_bits, rows, tree_kwargs)
+    tree = build_tree()
     stash: deque = deque()  # requests a mid-flight drain pulled off the pipe
     while True:
         if stash:
@@ -586,19 +470,24 @@ class ProcessShardWorker:
     ``bound_report`` riding up the pipe is folded into the request's
     registered :class:`~repro.server.bounds.GlobalBound` and answered
     with a ``bound_update`` carrying the (possibly tighter) global
-    threshold — the process-mode twin of the thread worker's shared
-    cell.
-    """
+    threshold.
 
-    mode = "process"
+    ``build_tree`` runs in the child, so a supervisor restart rebuilds
+    the shard from source (which is also what heals a shard whose pager
+    went bad); it must be picklable unless the start method is
+    ``fork``.  ``chaos`` (a :class:`~repro.storage.faults.ShardChaos`)
+    is drawn in the child once per request: a ``"kill"`` exits the
+    process without answering the in-flight request, so the abandoned
+    caller is bounded by its own deadline.  The draws and the plan's
+    ``injected`` counts stay in the child; the parent sees a kill as a
+    dead worker (a ``ShardUnavailable`` outcome, then a restart).
+    """
 
     def __init__(
         self,
-        n_bits: int,
-        rows: "list[tuple[int, tuple[int, ...]]]",
+        build_tree: "Callable[[], SGTree]",
         shard_id: int = 0,
-        tree_kwargs: "dict | None" = None,
-        chaos_cfg=None,
+        chaos=None,
         start_method: "str | None" = None,
     ):
         import multiprocessing
@@ -611,7 +500,7 @@ class ProcessShardWorker:
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, shard_id, n_bits, rows, tree_kwargs, chaos_cfg),
+            args=(child_conn, build_tree, chaos),
             daemon=True,
             name=f"sgtree-shard-{shard_id}",
         )
@@ -653,8 +542,13 @@ class ProcessShardWorker:
         return pending
 
     def kill(self) -> None:
-        """SIGKILL the worker process (chaos, supervision tests)."""
+        """SIGKILL the worker process and wait (bounded) for it to exit.
+
+        Without the wait, :meth:`is_alive` can still read ``True`` for a
+        moment after the signal, and readiness would count a dead shard.
+        """
         self._process.kill()
+        self._process.join(timeout=KILL_JOIN_TIMEOUT)
 
     def close(self) -> None:
         self._closed = True
@@ -912,8 +806,7 @@ class ShardHandle:
                 wire["initial_threshold"] = seed
                 if span is not None:
                     span.attrs["bound_seed"] = round(seed, 6)
-        pending = worker.submit(wire, bound=bound) if bound is not None \
-            else worker.submit(wire)
+        pending = worker.submit(wire, bound)
         response = self._await(pending, worker, deadline)
         if not response.get("ok"):
             error = response.get("error", "unknown")
@@ -1040,7 +933,6 @@ class ShardHandle:
 def make_shard_handles(
     partitions: "Sequence[Sequence[Transaction]]",
     n_bits: int,
-    mode: str = "thread",
     chaos_plan=None,
     telemetry=None,
     tree_kwargs: "dict | None" = None,
@@ -1048,41 +940,29 @@ def make_shard_handles(
     retry_factory: "Callable[[int], RetryPolicy] | None" = None,
     call_timeout: float = DEFAULT_CALL_TIMEOUT,
 ) -> "list[ShardHandle]":
-    """One supervised :class:`ShardHandle` per partition.
+    """One supervised :class:`ShardHandle` per partition, each running a
+    :class:`ProcessShardWorker`.
 
-    ``mode`` selects the worker kind (``"thread"`` or ``"process"``);
     ``chaos_plan`` (a :class:`~repro.storage.faults.ChaosPlan`) arms the
-    workers with seeded fault streams.  The handle's factory rebuilds
-    the shard tree from its partition on every restart — which is what
-    heals a shard whose pager rotted.
+    workers with seeded fault streams; each incarnation draws its own
+    stream, and one started after :meth:`ChaosPlan.quiesce` runs
+    without chaos.  The handle's factory rebuilds the shard tree from
+    its partition on every restart — which is what heals a shard whose
+    pager rotted.
     """
-    if mode not in ("thread", "process"):
-        raise ValueError(f"shard mode must be 'thread' or 'process', got {mode!r}")
     handles: list[ShardHandle] = []
     for shard_id, partition in enumerate(partitions):
         rows = [(t.tid, tuple(t.signature.items())) for t in partition]
+        build_tree = functools.partial(
+            _build_shard_tree, n_bits, rows, tree_kwargs
+        )
 
-        def factory(incarnation: int, shard_id=shard_id, rows=rows):
-            if mode == "process":
-                chaos_cfg = None
-                if chaos_plan is not None:
-                    chaos_cfg = (
-                        chaos_plan.seed, chaos_plan.kill_rate,
-                        chaos_plan.latency_rate, chaos_plan.latency_seconds,
-                        incarnation,
-                    )
-                return ProcessShardWorker(
-                    n_bits, rows, shard_id=shard_id,
-                    tree_kwargs=tree_kwargs, chaos_cfg=chaos_cfg,
-                )
+        def factory(incarnation: int, shard_id=shard_id, build_tree=build_tree):
             chaos = (
                 chaos_plan.for_shard(shard_id, incarnation=incarnation)
                 if chaos_plan is not None else None
             )
-            return ThreadShardWorker(
-                lambda: _build_shard_tree(n_bits, rows, tree_kwargs),
-                shard_id=shard_id, chaos=chaos,
-            )
+            return ProcessShardWorker(build_tree, shard_id=shard_id, chaos=chaos)
 
         handles.append(
             ShardHandle(
@@ -1279,6 +1159,9 @@ class ShardedTree:
         )
         if deadline is not None and deadline.expired():
             raise QueryTimeout(deadline.budget, deadline.budget)
+        if errors and all(e.startswith("ValueError") for e in errors.values()):
+            # Every shard rejected the request itself: a client error.
+            raise ValueError(descriptions)
         if errors and all(e.startswith("CircuitOpen") for e in errors.values()):
             raise CircuitOpen(
                 f"every shard breaker is open ({descriptions})",
@@ -1554,10 +1437,8 @@ class ShardedQueryService(QueryService):
     def tree(self):  # pragma: no cover - defensive
         raise AttributeError("a sharded service has no single tree")
 
-    def _signature(self, items) -> Signature:
-        if isinstance(items, Signature):
-            return items
-        return Signature.from_items(list(items), self._shards.n_bits)
+    def _n_bits(self) -> int:
+        return self._shards.n_bits
 
     def _observe_coverage(self, route: str, coverage: Coverage) -> None:
         telemetry = self.telemetry

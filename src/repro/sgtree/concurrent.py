@@ -29,7 +29,8 @@ serialises the bytecode either side of the swap).
 
 ``disk``-mode stores keep one extra rule: page faults and write-back
 mutate shared buffer state that is not safe to interleave, so disk reads
-and writes serialise on an internal I/O lock (``serial_reads``).  The
+and writes serialise on an internal I/O lock (``serial_reads``), held
+for the whole of each snapshot query.  The
 wait-free path is the default ``sim`` mode, where reads only perform
 GIL-atomic cache touches.
 """
@@ -41,134 +42,52 @@ import time
 from collections.abc import Iterable
 from contextlib import nullcontext
 
-from ..core.distance import Metric
 from ..core.signature import Signature
 from ..core.transaction import Transaction
 from ..storage.epoch import Epoch, EpochManager
 from .node import ShadowOutcome
-from .search import Deadline, Neighbor, SearchStats
 from .tree import SGTree
 
 __all__ = ["TreeSnapshot", "PinnedSnapshot", "ConcurrentSGTree"]
+
+#: The read surface of a pinned snapshot and of :class:`ConcurrentSGTree`:
+#: each name runs the :class:`SGTree` method of the same name, arguments
+#: passed through unchanged.
+QUERY_METHODS = frozenset({
+    "nearest", "batch_nearest", "range_query", "batch_range_query",
+    "containment_query", "subset_query", "equality_query",
+})
 
 
 class TreeSnapshot:
     """One published, immutable version of the index.
 
-    A snapshot is a read-only facade (:meth:`SGTree._attach`) over the
-    shared store, bound to the root page id and tree shape at publish
+    ``tree`` is a read-only facade (:meth:`SGTree._attach`) over the
+    shared store, fixed to the root page id and tree shape at publish
     time.  Because writers only ever install *fresh* pages and never
     mutate a published one, every page id reachable from this root keeps
     resolving to exactly the bytes it had at publish — traversals here
     need no lock and always return results bit-identical for this
-    generation.
+    generation.  (A disk-mode facade carries the owner's I/O lock, which
+    :meth:`SGTree._timed` holds for the whole of each query.)
 
     Snapshots are handed out pinned (:class:`PinnedSnapshot`); the pin
     is what delays reclamation of pages this snapshot references.
     """
 
-    __slots__ = ("tree", "generation", "epoch", "root_id", "size",
-                 "height", "_lock")
+    __slots__ = ("tree", "generation", "epoch", "root_id", "size", "height")
 
-    def __init__(self, tree: SGTree, generation: int, epoch: Epoch,
-                 lock: "threading.RLock | None" = None):
+    def __init__(self, tree: SGTree, generation: int, epoch: Epoch):
         self.tree = tree
         self.generation = generation
         self.epoch = epoch
         self.root_id = tree.root_id
         self.size = len(tree)
         self.height = tree.height
-        # disk mode only: page faults mutate shared buffer state
-        self._lock = lock
 
     @property
     def n_bits(self) -> int:
         return self.tree.n_bits
-
-    def _guard(self):
-        return self._lock if self._lock is not None else nullcontext()
-
-    # -- queries (each traverses this frozen version) ----------------------
-
-    def nearest(
-        self,
-        query: Signature,
-        k: int = 1,
-        metric: Metric | str | None = None,
-        algorithm: str = "depth-first",
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        tracer=None,
-        initial_threshold: "float | None" = None,
-        bound=None,
-    ) -> list[Neighbor]:
-        with self._guard():
-            return self.tree.nearest(
-                query, k=k, metric=metric, algorithm=algorithm, stats=stats,
-                deadline=deadline, tracer=tracer,
-                initial_threshold=initial_threshold, bound=bound,
-            )
-
-    def batch_nearest(
-        self,
-        queries: "list[Signature]",
-        k: int = 1,
-        metric: Metric | str | None = None,
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        initial_thresholds: "float | list[float] | None" = None,
-    ) -> list[list[Neighbor]]:
-        with self._guard():
-            return self.tree.batch_nearest(
-                queries, k=k, metric=metric, stats=stats, deadline=deadline,
-                initial_thresholds=initial_thresholds,
-            )
-
-    def range_query(
-        self,
-        query: Signature,
-        epsilon: float,
-        metric: Metric | str | None = None,
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        tracer=None,
-    ) -> list[Neighbor]:
-        with self._guard():
-            return self.tree.range_query(
-                query, epsilon, metric=metric, stats=stats,
-                deadline=deadline, tracer=tracer,
-            )
-
-    def batch_range_query(
-        self,
-        queries: "list[Signature]",
-        epsilon: "float | list[float]",
-        metric: Metric | str | None = None,
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-    ) -> list[list[Neighbor]]:
-        with self._guard():
-            return self.tree.batch_range_query(
-                queries, epsilon, metric=metric, stats=stats, deadline=deadline
-            )
-
-    def containment_query(
-        self, query: Signature, stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        tracer=None,
-    ) -> list[int]:
-        with self._guard():
-            return self.tree.containment_query(
-                query, stats=stats, deadline=deadline, tracer=tracer
-            )
-
-    def subset_query(self, query: Signature) -> list[int]:
-        with self._guard():
-            return self.tree.subset_query(query)
-
-    def equality_query(self, query: Signature) -> list[int]:
-        with self._guard():
-            return self.tree.equality_query(query)
 
     def __len__(self) -> int:
         return self.size
@@ -184,9 +103,10 @@ class PinnedSnapshot:
     """A :class:`TreeSnapshot` plus the reader's epoch pin.
 
     Use as a context manager (``with index.snapshot() as snap:``) or
-    call :meth:`release` explicitly; releasing twice is a no-op.  All
-    snapshot attributes and query methods are available directly on the
-    pinned handle.
+    call :meth:`release` explicitly; releasing twice is a no-op.  The
+    :data:`QUERY_METHODS` run on the snapshot's read-only tree; every
+    other snapshot attribute (``generation``, ``size``, ...) is
+    available directly on the pinned handle.  Nothing that mutates is.
     """
 
     __slots__ = ("_owner", "_snapshot", "_token")
@@ -214,6 +134,8 @@ class PinnedSnapshot:
         self.release()
 
     def __getattr__(self, name: str):
+        if name in QUERY_METHODS:
+            return getattr(self._snapshot.tree, name)
         return getattr(self._snapshot, name)
 
     def __len__(self) -> int:
@@ -224,13 +146,29 @@ class PinnedSnapshot:
         return f"PinnedSnapshot({self._snapshot!r}, {state})"
 
 
+def _pinned(name: str):
+    """A :class:`ConcurrentSGTree` query: pin, run ``name``, unpin."""
+
+    def query(self, *args, **kwargs):
+        with self.snapshot() as snap:
+            return getattr(snap, name)(*args, **kwargs)
+
+    query.__name__ = name
+    query.__qualname__ = f"ConcurrentSGTree.{name}"
+    query.__doc__ = (
+        f"Pin the published snapshot and run :meth:`SGTree.{name}` on it."
+    )
+    return query
+
+
 class ConcurrentSGTree:
     """Copy-on-write snapshot-published SG-tree: wait-free readers,
     serialized writers, epoch-deferred reclamation.
 
     Wraps an existing :class:`SGTree` (or builds one from the given
-    constructor arguments) and exposes the same query/update surface.
-    Query methods pin the current snapshot per call; to run several
+    constructor arguments) and exposes its update methods plus the
+    :data:`QUERY_METHODS`, each of which pins the current snapshot for
+    one call and passes its arguments through; to run several
     queries against one consistent version, hold a pin explicitly::
 
         with index.snapshot() as snap:
@@ -272,8 +210,9 @@ class ConcurrentSGTree:
             tree.max_entries, tree.min_fill, tree.split_policy,
             tree.choose_policy, tree.metric,
         )
-        lock = self._io_lock if self._serial_reads else None
-        return TreeSnapshot(facade, generation, epoch, lock=lock)
+        if self._serial_reads:
+            facade._io_lock = self._io_lock
+        return TreeSnapshot(facade, generation, epoch)
 
     def snapshot(self) -> PinnedSnapshot:
         """Pin and return the currently published snapshot (wait-free)."""
@@ -542,85 +481,13 @@ class ConcurrentSGTree:
 
     # -- queries (wait-free snapshot pin per call) -------------------------
 
-    def nearest(
-        self,
-        query: Signature,
-        k: int = 1,
-        metric: Metric | str | None = None,
-        algorithm: str = "depth-first",
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        tracer=None,
-        initial_threshold: "float | None" = None,
-        bound=None,
-    ) -> list[Neighbor]:
-        with self.snapshot() as snap:
-            return snap.nearest(
-                query, k=k, metric=metric, algorithm=algorithm, stats=stats,
-                deadline=deadline, tracer=tracer,
-                initial_threshold=initial_threshold, bound=bound,
-            )
-
-    def batch_nearest(
-        self,
-        queries: "list[Signature]",
-        k: int = 1,
-        metric: Metric | str | None = None,
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        initial_thresholds: "float | list[float] | None" = None,
-    ) -> list[list[Neighbor]]:
-        with self.snapshot() as snap:
-            return snap.batch_nearest(
-                queries, k=k, metric=metric, stats=stats, deadline=deadline,
-                initial_thresholds=initial_thresholds,
-            )
-
-    def range_query(
-        self,
-        query: Signature,
-        epsilon: float,
-        metric: Metric | str | None = None,
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        tracer=None,
-    ) -> list[Neighbor]:
-        with self.snapshot() as snap:
-            return snap.range_query(
-                query, epsilon, metric=metric, stats=stats,
-                deadline=deadline, tracer=tracer,
-            )
-
-    def batch_range_query(
-        self,
-        queries: "list[Signature]",
-        epsilon: "float | list[float]",
-        metric: Metric | str | None = None,
-        stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-    ) -> list[list[Neighbor]]:
-        with self.snapshot() as snap:
-            return snap.batch_range_query(
-                queries, epsilon, metric=metric, stats=stats, deadline=deadline
-            )
-
-    def containment_query(
-        self, query: Signature, stats: SearchStats | None = None,
-        deadline: "Deadline | None" = None,
-        tracer=None,
-    ) -> list[int]:
-        with self.snapshot() as snap:
-            return snap.containment_query(
-                query, stats=stats, deadline=deadline, tracer=tracer
-            )
-
-    def subset_query(self, query: Signature) -> list[int]:
-        with self.snapshot() as snap:
-            return snap.subset_query(query)
-
-    def equality_query(self, query: Signature) -> list[int]:
-        with self.snapshot() as snap:
-            return snap.equality_query(query)
+    nearest = _pinned("nearest")
+    batch_nearest = _pinned("batch_nearest")
+    range_query = _pinned("range_query")
+    batch_range_query = _pinned("batch_range_query")
+    containment_query = _pinned("containment_query")
+    subset_query = _pinned("subset_query")
+    equality_query = _pinned("equality_query")
 
     def __len__(self) -> int:
         # The published size is immutable; no pin needed for a scalar.

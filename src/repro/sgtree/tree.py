@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext
 
 from ..core.distance import HAMMING, Metric, resolve_metric
 from ..core.signature import Signature
@@ -34,6 +35,8 @@ from .node import Entry, Node, NodeStore
 from .split import SPLITTERS, split_entries
 
 __all__ = ["SGTree"]
+
+_UNLOCKED = nullcontext()
 
 
 class SGTree:
@@ -67,6 +70,10 @@ class SGTree:
         makes it unbounded, ``0`` disables it.  Forwarded to the
         implicit :class:`NodeStore`.
     """
+
+    #: Lock held around every query; set only on the snapshot facades of
+    #: a disk-mode :class:`~repro.sgtree.concurrent.ConcurrentSGTree`.
+    _io_lock = None
 
     def __init__(
         self,
@@ -213,23 +220,27 @@ class SGTree:
     def _timed(self, kind: str, stats, fn: "Callable"):
         """Run one query, pushing latency + traffic when telemetry is on.
 
-        The disabled path adds a single ``None`` check per *query* (not
+        Every query method passes through here, so this is also where a
+        disk-mode snapshot facade holds its owner's I/O lock
+        (``_io_lock``) for the whole query.  The unlocked, telemetry-off
+        path adds a no-op context and a ``None`` check per *query* (not
         per node) on top of the closure call — unmeasurable next to the
         traversal itself.
         """
-        telemetry = self.telemetry
-        if telemetry is None:
-            return fn(stats)
-        active = stats if stats is not None else _search.SearchStats()
-        accesses_before = active.node_accesses
-        start = time.perf_counter()
-        result = fn(active)
-        telemetry.observe_query(
-            kind,
-            time.perf_counter() - start,
-            active.node_accesses - accesses_before,
-        )
-        return result
+        with self._io_lock or _UNLOCKED:
+            telemetry = self.telemetry
+            if telemetry is None:
+                return fn(stats)
+            active = stats if stats is not None else _search.SearchStats()
+            accesses_before = active.node_accesses
+            start = time.perf_counter()
+            result = fn(active)
+            telemetry.observe_query(
+                kind,
+                time.perf_counter() - start,
+                active.node_accesses - accesses_before,
+            )
+            return result
 
     # -- basic accessors ---------------------------------------------------
 

@@ -297,10 +297,12 @@ class ChaosPlan:
     One plan is shared by every shard worker of a sharded service; each
     worker draws from its own :class:`ShardChaos` stream (seeded from
     ``seed`` and the shard id), so schedules are independent per shard
-    yet fully reproducible.  ``enabled`` is read live on every draw:
-    flipping it off (:meth:`quiesce`) ends the chaos phase for every
-    thread-mode worker sharing the object, which is how the campaign
-    tests "supervisor restores full coverage once the faults stop".
+    yet fully reproducible.  ``enabled`` is read live on every draw.
+    A shard process draws from the copy of the plan it was started with,
+    so flipping it off (:meth:`quiesce`) ends the chaos phase for every
+    worker started afterwards — which is how the campaign tests
+    "supervisor restores full coverage once the faults stop".  Likewise
+    ``injected`` counts only the draws made in this process.
 
     Rates are per-request probabilities; ``kill`` wins over ``latency``
     when both could fire.
@@ -324,7 +326,8 @@ class ChaosPlan:
         return ShardChaos(self, shard_id, incarnation=incarnation)
 
     def quiesce(self) -> None:
-        """Stop injecting (thread-mode workers see this immediately)."""
+        """Stop injecting (in streams drawn in this process, and in
+        shard workers started from now on)."""
         self.enabled = False
 
 

@@ -3,7 +3,7 @@
 The sharded coordinator with bound sharing (pilot routing + mid-flight
 ``bound_report``/``bound_update`` exchange) must return *exactly* the
 single-tree engine's answer — ids, distances, and ``(distance, tid)``
-tie order — for every metric, in thread and process mode alike.  And a
+tie order — for every metric.  And a
 shard that dies after publishing a tight bound must never cost the
 merged answer anything: whatever candidates justified its bound are
 salvaged into the result (DESIGN.md §13).
@@ -163,7 +163,7 @@ class TestCooperativeEquivalence:
         self, transactions, reference, queries, metric
     ):
         partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(
             handles, N_BITS, router=router, bound_interval=4
         )
@@ -187,7 +187,7 @@ class TestCooperativeProcessMode:
         """The wire protocol (bound_report up / bound_update down) ends
         at the same answer, and the broadcast actually lands."""
         partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="process")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(
             handles, N_BITS, router=router, bound_interval=2
         )
@@ -212,7 +212,7 @@ class TestCooperativeProcessMode:
         the cooperative guarantee there is the distance sequence plus
         true-pair membership, not tid-level tie order."""
         partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(handles, N_BITS, router=router)
         try:
             for query in queries:
@@ -237,7 +237,7 @@ class TestCooperativeProcessMode:
         self, transactions, reference, queries
     ):
         partitions, _ = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(handles, N_BITS, bound_sharing=False)
         try:
             for query in queries:
@@ -255,7 +255,7 @@ class TestDeadShardSafety:
 
     def _sharded_with_a_dying_shard(self, transactions, dead_index):
         partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         dead = handles[dead_index]
         dead_tree = SGTree(N_BITS, max_entries=8)
         dead_tree.insert_many(partitions[dead_index])
@@ -350,7 +350,7 @@ class TestCoordinatorStats:
         self, transactions, queries
     ):
         partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(
             handles, N_BITS, router=router, bound_interval=2
         )
@@ -366,7 +366,7 @@ class TestCoordinatorStats:
 
     def test_bound_interval_is_validated(self, transactions):
         partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         try:
             with pytest.raises(ValueError, match="bound_interval"):
                 ShardedTree(handles, N_BITS, bound_interval=0)

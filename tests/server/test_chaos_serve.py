@@ -21,6 +21,7 @@ kills and latency (CI sweeps one seed with it).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -45,7 +46,7 @@ from repro.server import (
     partition_routed,
     partition_transactions,
 )
-from repro.server.shard import ThreadShardWorker
+from repro.server.shard import ProcessShardWorker
 from repro.sgtree.node import NodeStore
 from repro.storage.faults import ChaosPlan
 from repro.storage.pager import FilePager
@@ -87,7 +88,7 @@ class TestChaosCampaign:
         )
         partitions, router = partition_routed(transactions, N_SHARDS)
         handles = make_shard_handles(
-            partitions, N_BITS, mode="thread", chaos_plan=plan
+            partitions, N_BITS, chaos_plan=plan
         )
         supervisor = ShardSupervisor(
             handles, backoff=FAST_BACKOFF, storm_budget=50, storm_window=60.0
@@ -163,12 +164,20 @@ class TestChaosCampaign:
                             } == expected
                 if i % 5 == 4:
                     supervisor.check_once()
-            # The chaos actually bit: kills were injected and at least
-            # one response degraded rather than failing outright.
-            assert plan.injected["chaos-kill"] >= 1
+            # The chaos actually bit: workers were killed and at least
+            # one response degraded rather than failing outright.  The
+            # kills are drawn inside the shard processes, so count the
+            # ones the coordinator saw: dead workers the supervisor
+            # restarted (a 20 ms latency spike never fails a 1 s probe).
+            assert sum(h.restarts for h in handles) >= 1
             assert outcomes["partial"] >= 1
             # 4. Quiesce the chaos; the supervisor restores full coverage.
+            # A running shard process keeps the chaos stream it was
+            # started with, so stop every worker: the incarnations the
+            # supervisor brings up after the quiesce run without chaos.
             plan.quiesce()
+            for handle in handles:
+                handle.worker.kill()
             for _ in range(30):
                 supervisor.check_once()
                 if all(h.is_up() for h in handles):
@@ -205,6 +214,25 @@ class TestChaosCampaign:
         assert chaos.draw() is None
 
 
+def build_corruptible(page_file, partition):
+    """Shard 0's first life: a disk-mode tree whose page file the test
+    then rots.  With only 2 buffer frames, traversals must fault pages
+    back in, so the rot surfaces as PageCorruptError."""
+    store = NodeStore(
+        N_BITS, page_size=2048, frames=2, mode="disk",
+        pager=FilePager(page_file, page_size=2048),
+    )
+    tree = SGTree(N_BITS, max_entries=8, store=store)
+    tree.insert_many(partition)
+    return tree
+
+
+def build_pristine(partition):
+    tree = SGTree(N_BITS, max_entries=8)
+    tree.insert_many(partition)
+    return tree
+
+
 class TestCorruptedShardPager:
     """One shard's pager rots; the breaker isolates it and a rebuild-
     from-source restart heals it."""
@@ -215,32 +243,20 @@ class TestCorruptedShardPager:
         partitions = partition_transactions(transactions, N_SHARDS)
         page_file = tmp_path / "shard0.pages"
 
-        def build_corruptible():
-            """Shard 0's first life: a disk-mode tree whose page file we
-            then rot.  With only 2 buffer frames, traversals must fault
-            pages back in, so the rot surfaces as PageCorruptError."""
-            store = NodeStore(
-                N_BITS, page_size=2048, frames=2, mode="disk",
-                pager=FilePager(page_file, page_size=2048),
-            )
-            tree = SGTree(N_BITS, max_entries=8, store=store)
-            tree.insert_many(partitions[0])
-            return tree
-
-        def build_pristine():
-            tree = SGTree(N_BITS, max_entries=8)
-            tree.insert_many(partitions[0])
-            return tree
-
         def factory(incarnation: int):
-            build = build_corruptible if incarnation == 0 else build_pristine
-            return ThreadShardWorker(build, shard_id=0)
+            if incarnation == 0:
+                build = functools.partial(
+                    build_corruptible, page_file, partitions[0]
+                )
+            else:
+                build = functools.partial(build_pristine, partitions[0])
+            return ProcessShardWorker(build, shard_id=0)
 
         corrupt_handle = ShardHandle(
             0, factory,
             breaker=CircuitBreaker(failure_threshold=3, reset_timeout=30.0),
         )
-        healthy = make_shard_handles(partitions[1:], N_BITS, mode="thread")
+        healthy = make_shard_handles(partitions[1:], N_BITS)
         for offset, handle in enumerate(healthy, start=1):
             handle.shard_id = offset  # re-number behind shard 0
         handles = [corrupt_handle] + healthy

@@ -11,7 +11,14 @@ import pytest
 
 from repro import SGTree
 from repro.data.io import save_transactions
-from repro.server import QueryService, make_server
+from repro.server import (
+    QueryService,
+    ShardedQueryService,
+    ShardedTree,
+    make_server,
+    make_shard_handles,
+    partition_transactions,
+)
 from repro.sgtree.persistence import save_tree
 from repro.telemetry import EventLog, MemoryEventSink, MetricsRegistry, Telemetry
 from support import random_transactions
@@ -160,6 +167,41 @@ class TestErrorMapping:
     def test_reload_validation_400(self, served):
         base, _, _ = served
         assert post(f"{base}/admin/reload", {})[0] == 400
+
+
+class TestShardedErrorMapping:
+    """A request every shard rejects is the client's error, as on the
+    single tree: 400, not a retryable 503."""
+
+    @pytest.fixture
+    def sharded_served(self):
+        transactions = random_transactions(seed=5, count=200, n_bits=N_BITS)
+        partitions = partition_transactions(transactions, 2)
+        service = ShardedQueryService(
+            ShardedTree(make_shard_handles(partitions, N_BITS), N_BITS),
+            max_inflight=4, max_queue=8,
+        )
+        server = make_server(service, host="127.0.0.1", port=0)
+        server.serve_background()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}"
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("route, body", [
+        ("knn", {"items": [1, 2, 3], "k": 3, "metric": "nonsense"}),
+        ("knn", {"items": [1, 2, 3], "k": 0}),
+        ("range", {"items": [1, 2, 3], "epsilon": 0.5, "metric": "nonsense"}),
+        ("batch", {"queries": [[1, 2], [3]], "k": 2, "metric": "nonsense"}),
+    ])
+    def test_bad_request_is_400_like_the_single_tree(
+        self, served, sharded_served, route, body
+    ):
+        single_status, _ = post(f"{served[0]}/query/{route}", body)
+        status, doc = post(f"{sharded_served}/query/{route}", body)
+        assert single_status == status == 400
+        assert "retry" not in doc
+        assert doc["error"].startswith("bad request")
 
 
 class TestReloadEndpoint:

@@ -341,3 +341,36 @@ class TestHotSwap:
             assert all(
                 key[0] != old_generation for key in new_store.decode_cache._views
             )
+
+
+class TestRetryAcrossAnNBitsSwap:
+    """The one-retry absorber covers the hot-swap race only."""
+
+    def test_bad_request_runs_the_engine_once(self, tree, monkeypatch):
+        calls = []
+        original = SGTree.nearest
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SGTree, "nearest", counting)
+        with QueryService(tree) as service:
+            with pytest.raises(ValueError, match="k must be"):
+                service.knn([1, 2, 3], k=0)
+        assert calls == [0]
+
+    def test_a_swap_to_other_n_bits_under_the_request_is_retried(self, tree):
+        wider = SGTree(2 * N_BITS, max_entries=8)
+        with QueryService(tree) as service:
+            seen = []
+
+            def attempt():
+                seen.append(service.tree.n_bits)
+                if len(seen) == 1:
+                    service.tree.swap(wider)
+                    raise ValueError("signature built for the old n_bits")
+                return "answered"
+
+            assert service._retrying(attempt) == "answered"
+            assert seen == [N_BITS, 2 * N_BITS]

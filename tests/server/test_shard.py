@@ -13,6 +13,7 @@ from repro.server import (
     Coverage,
     ShardedQueryService,
     ShardedTree,
+    ShardHandle,
     ShardSupervisor,
     make_shard_handles,
     partition_transactions,
@@ -41,7 +42,7 @@ def reference(transactions):
 @pytest.fixture
 def sharded(transactions):
     partitions = partition_transactions(transactions, N_SHARDS)
-    handles = make_shard_handles(partitions, N_BITS, mode="thread")
+    handles = make_shard_handles(partitions, N_BITS)
     sharded = ShardedTree(handles, N_BITS)
     yield sharded
     sharded.close()
@@ -194,7 +195,7 @@ class TestPartialSubsetProperty:
         rng = np.random.default_rng(77)
         for round_ in range(6):
             partitions = partition_transactions(transactions, N_SHARDS)
-            handles = make_shard_handles(partitions, N_BITS, mode="thread")
+            handles = make_shard_handles(partitions, N_BITS)
             sharded = ShardedTree(handles, N_BITS)
             try:
                 n_dead = int(rng.integers(0, N_SHARDS))  # leave >= 1 alive
@@ -219,7 +220,7 @@ class TestShardedQueryService:
     @pytest.fixture
     def service(self, transactions):
         partitions = partition_transactions(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         service = ShardedQueryService(
             ShardedTree(handles, N_BITS), max_inflight=4, max_queue=8
         )
@@ -250,13 +251,47 @@ class TestShardedQueryService:
         assert not doc["ready"]     # but should get no new traffic
         assert doc["shards"]["up"] < doc["shards"]["quorum"]
 
+    def test_bad_request_is_a_client_error_scattered_once(
+        self, service, queries, monkeypatch
+    ):
+        calls = []
+        original = ShardHandle.call
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.shard_id)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShardHandle, "call", counting)
+        items = list(queries[0].items())
+        with pytest.raises(ValueError, match="unknown metric"):
+            service.knn(items, k=3, metric="nonsense")
+        with pytest.raises(ValueError, match="unknown metric"):
+            service.range(items, 0.5, metric="nonsense")
+        # Every shard was asked exactly once per request: no retry.
+        assert sorted(calls) == sorted(2 * list(range(N_SHARDS)))
+        assert service.health()["ready"]  # a client error trips no breaker
+
+    def test_invalid_k_runs_the_coordinator_once(self, service, queries,
+                                                 monkeypatch):
+        calls = []
+        original = ShardedTree.nearest
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedTree, "nearest", counting)
+        with pytest.raises(ValueError, match="k must be"):
+            service.knn(list(queries[0].items()), k=0)
+        assert calls == [0]
+
     def test_reload_is_rejected(self, service):
         with pytest.raises(ReproError, match="supervisor"):
             service.reload(index_path="whatever.idx")
 
     def test_quorum_validation(self, transactions):
         partitions = partition_transactions(transactions, 2)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(handles, N_BITS)
         try:
             with pytest.raises(ValueError, match="quorum"):
@@ -267,8 +302,7 @@ class TestShardedQueryService:
     def test_partial_telemetry_counter(self, transactions, queries):
         telemetry = Telemetry(registry=MetricsRegistry(), events=EventLog())
         partitions = partition_transactions(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS, mode="thread",
-                                     telemetry=telemetry)
+        handles = make_shard_handles(partitions, N_BITS, telemetry=telemetry)
         service = ShardedQueryService(
             ShardedTree(handles, N_BITS, telemetry=telemetry),
             telemetry=telemetry,
@@ -284,13 +318,13 @@ class TestShardedQueryService:
 
 
 class TestProcessWorkers:
-    """The multiprocessing worker speaks the same protocol."""
+    """A killed worker process fails fast and restarts cleanly."""
 
     @pytest.fixture(scope="class")
     def process_sharded(self):
         txs = random_transactions(seed=3, count=90, n_bits=N_BITS)
         partitions = partition_transactions(txs, 2)
-        handles = make_shard_handles(partitions, N_BITS, mode="process")
+        handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(handles, N_BITS)
         for handle in handles:
             assert handle.probe(timeout=10.0) is not None
@@ -312,7 +346,6 @@ class TestProcessWorkers:
         txs, sharded = process_sharded
         victim = sharded.handles[0]
         victim.worker.kill()
-        victim.worker._process.join(timeout=5.0)
         q = txs[0].signature
         started = time.monotonic()
         merged, coverage = sharded.nearest(q, k=3)

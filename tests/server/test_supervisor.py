@@ -22,21 +22,31 @@ N_BITS = 120
 FAST_BACKOFF = Backoff(initial=0.0, factor=1.0, max_delay=0.0, jitter=False)
 
 
-def build_handles(n_shards: int = 2, telemetry=None):
-    transactions = random_transactions(seed=9, count=60, n_bits=N_BITS)
-    partitions = partition_transactions(transactions, n_shards)
-    return make_shard_handles(partitions, N_BITS, mode="thread",
-                              telemetry=telemetry)
+@pytest.fixture
+def build_handles():
+    """Builds supervised shard handles; stops their worker processes."""
+    built = []
+
+    def build(n_shards: int = 2, telemetry=None):
+        transactions = random_transactions(seed=9, count=60, n_bits=N_BITS)
+        partitions = partition_transactions(transactions, n_shards)
+        handles = make_shard_handles(partitions, N_BITS, telemetry=telemetry)
+        built.extend(handles)
+        return handles
+
+    yield build
+    for handle in built:
+        handle.close()
 
 
 class TestSupervision:
-    def test_healthy_shards_are_left_alone(self):
+    def test_healthy_shards_are_left_alone(self, build_handles):
         handles = build_handles()
         supervisor = ShardSupervisor(handles, backoff=FAST_BACKOFF)
         assert supervisor.check_once() == []
         assert all(h.restarts == 0 for h in handles)
 
-    def test_dead_worker_is_restarted_and_answers_again(self):
+    def test_dead_worker_is_restarted_and_answers_again(self, build_handles):
         telemetry = Telemetry(registry=MetricsRegistry(), events=EventLog())
         sink = telemetry.events.add_sink(MemoryEventSink())
         handles = build_handles(telemetry=telemetry)
@@ -53,7 +63,7 @@ class TestSupervision:
         label = str(handles[0].shard_id)
         assert telemetry.shard_restarts_total.labels(shard=label).value == 1
 
-    def test_restart_resets_the_breaker(self):
+    def test_restart_resets_the_breaker(self, build_handles):
         handles = build_handles()
         supervisor = ShardSupervisor(handles, backoff=FAST_BACKOFF)
         handles[1].breaker.force_open()
@@ -61,7 +71,7 @@ class TestSupervision:
         supervisor.check_once()
         assert handles[1].breaker.state == CircuitBreaker.CLOSED
 
-    def test_storm_budget_marks_shard_failed(self):
+    def test_storm_budget_marks_shard_failed(self, build_handles):
         telemetry = Telemetry(registry=MetricsRegistry(), events=EventLog())
         sink = telemetry.events.add_sink(MemoryEventSink())
         handles = build_handles(telemetry=telemetry)
@@ -80,7 +90,7 @@ class TestSupervision:
         assert supervisor.check_once() == []
         assert handles[0].restarts == 2
 
-    def test_revive_brings_a_failed_shard_back(self):
+    def test_revive_brings_a_failed_shard_back(self, build_handles):
         handles = build_handles()
         supervisor = ShardSupervisor(
             handles, backoff=FAST_BACKOFF, storm_budget=1, storm_window=60.0
@@ -96,7 +106,7 @@ class TestSupervision:
         with pytest.raises(KeyError):
             supervisor.revive(999)
 
-    def test_monitor_thread_restarts_in_background(self):
+    def test_monitor_thread_restarts_in_background(self, build_handles):
         handles = build_handles()
         supervisor = ShardSupervisor(
             handles, probe_interval=0.02, backoff=FAST_BACKOFF
@@ -113,7 +123,7 @@ class TestSupervision:
         finally:
             supervisor.stop()
 
-    def test_restored_shard_rejoins_the_scatter(self):
+    def test_restored_shard_rejoins_the_scatter(self, build_handles):
         handles = build_handles()
         sharded = ShardedTree(handles, N_BITS)
         supervisor = ShardSupervisor(handles, backoff=FAST_BACKOFF)
@@ -131,7 +141,7 @@ class TestSupervision:
         finally:
             sharded.close()
 
-    def test_rejects_bad_parameters(self):
+    def test_rejects_bad_parameters(self, build_handles):
         handles = build_handles()
         with pytest.raises(ValueError):
             ShardSupervisor(handles, probe_interval=0.0)

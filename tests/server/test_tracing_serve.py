@@ -77,10 +77,10 @@ def single(transactions):
 
 def make_sharded(transactions, sample_rate: float = 1.0,
                  **tracing_kwargs) -> ShardedQueryService:
-    """A thread-mode sharded service with fast, deterministic retries."""
+    """A sharded service with fast, deterministic retries."""
     partitions = partition_transactions(transactions, N_SHARDS)
     handles = make_shard_handles(
-        partitions, N_BITS, mode="thread",
+        partitions, N_BITS,
         retry_factory=lambda sid: RetryPolicy(
             max_attempts=3, backoff=Backoff(initial=0.001, seed=sid)
         ),

@@ -5,9 +5,10 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
 from repro import LinearScan, Signature
-from repro.sgtree import validate_tree
+from repro.sgtree import SearchStats, validate_tree
 from repro.sgtree.concurrent import ConcurrentSGTree, PinnedSnapshot
 from support import random_signature, random_transactions
 
@@ -165,6 +166,145 @@ class TestSnapshotSemantics:
         validate_tree(index.tree)
         survivors = {t.tid: t.signature for t in transactions[60:]}
         assert dict(index.tree.items()) == survivors
+
+
+class TestSnapshotQuerySurface:
+    """A pinned snapshot answers the seven read queries from its tree
+    facade, with every option passed through, and offers nothing else."""
+
+    QUERIES = ("nearest", "batch_nearest", "range_query",
+               "batch_range_query", "containment_query", "subset_query",
+               "equality_query")
+
+    def _calls(self, query):
+        from repro.sgtree import Deadline
+        from repro.telemetry.tracing import Tracer
+
+        return [
+            ("nearest", (query,), dict(
+                k=4, metric="jaccard", stats=SearchStats(),
+                deadline=Deadline.after(30.0), tracer=Tracer(),
+                initial_threshold=0.9)),
+            ("nearest", (query,), dict(k=3, algorithm="best-first")),
+            ("batch_nearest", ([query, query],), dict(
+                k=2, metric="dice", stats=SearchStats(),
+                deadline=Deadline.after(30.0), initial_thresholds=[0.8, 0.9])),
+            ("range_query", (query, 0.6), dict(
+                metric="jaccard", stats=SearchStats(), tracer=Tracer())),
+            ("batch_range_query", ([query, query], [4, 5]), dict(
+                stats=SearchStats(), deadline=Deadline.after(30.0))),
+            ("containment_query", (Signature.from_items([1], N_BITS),), dict(
+                stats=SearchStats(), tracer=Tracer())),
+            ("subset_query", (query,), {}),
+            ("equality_query", (query,), {}),
+        ]
+
+    def test_answers_match_the_tree_with_every_option(self):
+        from repro import SGTree
+
+        transactions = random_transactions(seed=95, count=120, n_bits=N_BITS)
+        tree = SGTree(N_BITS, max_entries=8)
+        tree.insert_many(transactions)
+        index = ConcurrentSGTree(n_bits=N_BITS, max_entries=8)
+        index.insert_many(transactions)
+        query = transactions[3].signature | Signature.from_items([1], N_BITS)
+        assert {name for name, _, _ in self._calls(query)} == set(self.QUERIES)
+        # Fresh option objects (stats, tracers) for each of the three runs.
+        for (name, args, kwargs), (_, _, again), (_, _, third) in zip(
+            self._calls(query), self._calls(query), self._calls(query)
+        ):
+            expected = getattr(tree, name)(*args, **kwargs)
+            with index.snapshot() as snap:
+                assert getattr(snap, name)(*args, **again) == expected, name
+            assert getattr(index, name)(*args, **third) == expected, name
+
+    def test_pinned_snapshot_exposes_no_mutator(self):
+        index = ConcurrentSGTree(n_bits=N_BITS, max_entries=8)
+        index.insert(1, Signature.from_items([1, 2], N_BITS))
+        with index.snapshot() as snap:
+            with pytest.raises(AttributeError):
+                snap.insert(2, Signature.from_items([3], N_BITS))
+            for name in ("insert_many", "delete", "update", "commit",
+                         "swap", "explain", "browse"):
+                assert not hasattr(snap, name), name
+            for name in self.QUERIES:
+                assert callable(getattr(snap, name))
+        assert len(index) == 1
+
+    @staticmethod
+    def _paused_reader_and_writer(index, query, extra, monkeypatch):
+        """Run a snapshot kNN paused mid-call beside one insert; returns
+        whether the insert finished while the query was paused, and the
+        order in which the two completed."""
+        from repro.sgtree import search
+
+        in_query = threading.Event()
+        resume = threading.Event()
+        order = []
+        original = search.knn
+
+        def paused_knn(*args, **kwargs):
+            in_query.set()
+            assert resume.wait(10)
+            result = original(*args, **kwargs)
+            order.append("query")
+            return result
+
+        monkeypatch.setattr(search, "knn", paused_knn)
+
+        def reader():
+            with index.snapshot() as snap:
+                snap.nearest(query, k=3)
+
+        def writer():
+            index.insert(extra)
+            order.append("insert")
+
+        reading = threading.Thread(target=reader)
+        reading.start()
+        assert in_query.wait(10)
+        writing = threading.Thread(target=writer)
+        writing.start()
+        writing.join(timeout=0.3)
+        insert_done_while_paused = not writing.is_alive()
+        resume.set()
+        reading.join(timeout=10)
+        writing.join(timeout=10)
+        assert not reading.is_alive() and not writing.is_alive()
+        return insert_done_while_paused, order
+
+    def test_disk_mode_query_holds_the_io_lock_for_the_whole_call(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import SGTree
+        from repro.sgtree import NodeStore
+        from repro.storage import FilePager
+
+        store = NodeStore(
+            N_BITS, page_size=4096, frames=4, mode="disk",
+            pager=FilePager(tmp_path / "lock.pages", page_size=4096),
+        )
+        index = ConcurrentSGTree(tree=SGTree(N_BITS, max_entries=8,
+                                             store=store))
+        transactions = random_transactions(seed=96, count=61, n_bits=N_BITS)
+        index.insert_many(transactions[:60])
+        done_early, order = self._paused_reader_and_writer(
+            index, transactions[0].signature, transactions[60], monkeypatch
+        )
+        assert not done_early  # the insert waited on the reader's lock
+        assert order == ["query", "insert"]
+        assert len(index) == 61
+        store.pager.close()
+
+    def test_sim_mode_query_takes_no_lock(self, monkeypatch):
+        index = ConcurrentSGTree(n_bits=N_BITS, max_entries=8)
+        transactions = random_transactions(seed=97, count=61, n_bits=N_BITS)
+        index.insert_many(transactions[:60])
+        done_early, order = self._paused_reader_and_writer(
+            index, transactions[0].signature, transactions[60], monkeypatch
+        )
+        assert done_early
+        assert order == ["insert", "query"]
 
 
 class TestSwapRetiresArenaGeneration:

@@ -9,7 +9,7 @@ import pytest
 
 from repro import SGTree, Signature
 from repro.sgtree import QueryExecutor, SearchStats, validate_tree
-from repro.sgtree.concurrent import ConcurrentSGTree, TreeSnapshot
+from repro.sgtree.concurrent import ConcurrentSGTree
 from support import random_signature, random_transactions
 
 N_BITS = 120
@@ -125,7 +125,7 @@ class TestExecutorPartialFailure:
     def test_worker_exception_propagates(self, tree, queries, monkeypatch):
         concurrent = ConcurrentSGTree(tree)
         calls = []
-        original = TreeSnapshot.batch_nearest
+        original = SGTree.batch_nearest
 
         def flaky(self, shard, **kwargs):
             calls.append(len(shard))
@@ -133,7 +133,7 @@ class TestExecutorPartialFailure:
                 raise RuntimeError("shard exploded")
             return original(self, shard, **kwargs)
 
-        monkeypatch.setattr(TreeSnapshot, "batch_nearest", flaky)
+        monkeypatch.setattr(SGTree, "batch_nearest", flaky)
         with QueryExecutor(concurrent, workers=2, batch_size=6) as ex:
             with pytest.raises(RuntimeError, match="shard exploded"):
                 ex.knn(queries, k=3)
@@ -141,7 +141,7 @@ class TestExecutorPartialFailure:
     def test_stats_flushed_after_partial_failure(self, tree, queries, monkeypatch):
         """Completed shards' traffic is accounted even when one fails."""
         concurrent = ConcurrentSGTree(tree)
-        original = TreeSnapshot.batch_nearest
+        original = SGTree.batch_nearest
         seen = []
 
         def flaky(self, shard, **kwargs):
@@ -151,7 +151,7 @@ class TestExecutorPartialFailure:
                 raise RuntimeError("late failure")
             return result
 
-        monkeypatch.setattr(TreeSnapshot, "batch_nearest", flaky)
+        monkeypatch.setattr(SGTree, "batch_nearest", flaky)
         stats = SearchStats()
         with QueryExecutor(concurrent, workers=1, batch_size=6) as ex:
             with pytest.raises(RuntimeError, match="late failure"):
@@ -161,7 +161,7 @@ class TestExecutorPartialFailure:
     def test_no_shard_left_running_after_failure(self, tree, queries, monkeypatch):
         """_run drains the pool before re-raising; nothing traverses after."""
         concurrent = ConcurrentSGTree(tree)
-        original = TreeSnapshot.batch_nearest
+        original = SGTree.batch_nearest
         lock = threading.Lock()
         state = {"calls": 0, "live": 0}
 
@@ -178,7 +178,7 @@ class TestExecutorPartialFailure:
                 with lock:
                     state["live"] -= 1
 
-        monkeypatch.setattr(TreeSnapshot, "batch_nearest", flaky)
+        monkeypatch.setattr(SGTree, "batch_nearest", flaky)
         with QueryExecutor(concurrent, workers=3, batch_size=3) as ex:
             with pytest.raises(RuntimeError, match="fails fast"):
                 ex.knn(queries, k=2)
