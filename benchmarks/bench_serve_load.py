@@ -111,13 +111,13 @@ def bench_admission(tree, queries) -> dict:
         tree, max_inflight=max_inflight, max_queue=max_queue
     )
     gate = threading.Event()
-    original = service._run_knn
+    original = service._run
 
     def gated(*args):
         gate.wait(timeout=60)
         return original(*args)
 
-    service._run_knn = gated
+    service._run = gated
     statuses: list[int] = []
     lock = threading.Lock()
 

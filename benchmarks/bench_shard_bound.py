@@ -32,7 +32,12 @@ import pytest
 
 from bench_common import cached_quest, n_queries, report
 from repro.bench import build_tree
-from repro.server import ShardedTree, make_shard_handles, partition_routed
+from repro.server import (
+    Query,
+    ShardedTree,
+    make_shard_handles,
+    partition_routed,
+)
 from repro.sgtree import SearchStats
 
 T_SIZE, I_SIZE, D = 10, 6, 50_000
@@ -49,7 +54,9 @@ def _run_mode(coordinator: ShardedTree, queries, k: int) -> dict:
     results = []
     start = time.perf_counter()
     for query in queries:
-        hits, coverage = coordinator.nearest(query, k=k, stats=stats)
+        hits, coverage = coordinator.query(
+            Query("knn", query.items(), k=k), stats=stats
+        )
         assert not coverage.partial
         results.append(hits)
     elapsed = time.perf_counter() - start

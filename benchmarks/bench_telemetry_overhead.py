@@ -42,7 +42,7 @@ import pytest
 
 from bench_common import cached_quest, n_queries, report
 from repro.bench import build_tree
-from repro.server import QueryService
+from repro.server import Query, QueryService
 from repro.sgtree import search as _search
 from repro.telemetry import (
     EventLog,
@@ -133,7 +133,7 @@ def _run_serving_benchmark(tree, batch, rounds: int, k: int) -> dict:
     reconstructed as ``floor + rate * sampled-request surcharge``, with
     the surcharge measured by the 100% column.
     """
-    requests = batch[:BATCH_SIZE]
+    requests = [Query("knn", q.items(), k=k) for q in batch[:BATCH_SIZE]]
     sample_rate = 0.01
 
     def make(**kwargs):
@@ -152,7 +152,7 @@ def _run_serving_benchmark(tree, batch, rounds: int, k: int) -> dict:
         # Warm every service (admission machinery, executor, buffer).
         for service in services.values():
             for query in requests:
-                service.knn(query, k=k)
+                service.query(query)
 
         minima = {
             name: [float("inf")] * len(requests) for name in services
@@ -161,7 +161,7 @@ def _run_serving_benchmark(tree, batch, rounds: int, k: int) -> dict:
             for i, query in enumerate(requests):
                 for name, service in services.items():
                     start = time.perf_counter()
-                    service.knn(query, k=k)
+                    service.query(query)
                     elapsed = time.perf_counter() - start
                     if elapsed < minima[name][i]:
                         minima[name][i] = elapsed

@@ -1,7 +1,9 @@
 """Query serving: admission control, deadlines, sharding, resilience.
 
-:class:`QueryService` is the protocol-independent core (use it directly
-to embed the serving behaviours in another process);
+:class:`Query` is the one query value every layer forwards, from the
+HTTP body to the shard worker.  :class:`QueryService` is the
+protocol-independent core (use it directly to embed the serving
+behaviours in another process);
 :func:`make_server`/:class:`ServingHTTPServer` put a stdlib HTTP+JSON
 front end on top, which is what ``repro-sgtree serve`` runs.  With
 ``serve --shards N`` the service becomes a
@@ -19,6 +21,7 @@ are re-exported here for callers handling serving errors.
 from ..errors import CircuitOpen, RetryExhausted, ShardError, ShardUnavailable
 from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
 from .http import ServingHTTPServer, make_server, serve_forever
+from .query import Query
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
 from .service import QueryService, ReloadInProgress, RequestShed, ServedQuery
 from .shard import (
@@ -34,6 +37,7 @@ from .shard import (
 from .supervisor import ShardSupervisor
 
 __all__ = [
+    "Query",
     "QueryService",
     "ServedQuery",
     "RequestShed",

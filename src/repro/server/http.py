@@ -56,6 +56,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..errors import CircuitOpen, QueryTimeout, ReproError, ShardError
 from ..sgtree.search import Neighbor, SearchStats
 from ..telemetry.tracing import sanitize_request_id
+from .query import ROUTES, Query
 from .service import QueryService, ReloadInProgress, RequestShed, ServedQuery
 
 __all__ = ["ServingHTTPServer", "make_server", "serve_forever"]
@@ -208,36 +209,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._request_id = rid
         try:
             body = self._read_body()
-            if self.path == "/query/knn":
-                served = service.knn(
-                    body["items"],
-                    k=int(body.get("k", 1)),
-                    metric=body.get("metric"),
-                    algorithm=body.get("algorithm", "depth-first"),
-                    deadline_seconds=_deadline_seconds(body),
-                    request_id=rid,
-                )
-            elif self.path == "/query/range":
-                served = service.range(
-                    body["items"],
-                    epsilon=float(body["epsilon"]),
-                    metric=body.get("metric"),
-                    deadline_seconds=_deadline_seconds(body),
-                    request_id=rid,
-                )
-            elif self.path == "/query/containment":
-                served = service.containment(
-                    body["items"],
-                    deadline_seconds=_deadline_seconds(body),
-                    request_id=rid,
-                )
-            elif self.path == "/query/batch":
-                served = service.batch(
-                    body["queries"],
-                    kind=body.get("kind", "knn"),
-                    k=int(body.get("k", 1)),
-                    epsilon=body.get("epsilon"),
-                    metric=body.get("metric"),
+            route = self.path.removeprefix("/query/")
+            if route in ROUTES:
+                served = service.query(
+                    Query.from_body(route, body),
                     deadline_seconds=_deadline_seconds(body),
                     request_id=rid,
                 )
@@ -285,7 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
             # ShardUnavailable / RetryExhausted at request level: no
             # shard could answer at all.
             self._send_json(503, {"error": str(exc), "retry": True})
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             self._send_json(400, {"error": f"bad request: {exc}"})
         except ReproError as exc:
             self._send_json(500, {"error": str(exc)})

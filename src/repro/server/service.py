@@ -45,15 +45,15 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
-from ..core.signature import Signature
 from ..errors import QueryTimeout, ReproError
 from ..sgtree.concurrent import ConcurrentSGTree
 from ..sgtree.executor import DEFAULT_BATCH_SIZE, QueryExecutor
-from ..sgtree.search import Deadline, Neighbor, SearchStats
+from ..sgtree.search import Deadline, SearchStats
 from ..sgtree.tree import SGTree
-from ..telemetry.tracing import RequestTrace, Tracer
+from ..telemetry.tracing import RequestTrace
+from .query import Query
 
 __all__ = [
     "QueryService",
@@ -175,8 +175,8 @@ class QueryService:
         deadline then wait and run unboundedly).
     workers / batch_size:
         Thread pool and shard size of the internal
-        :class:`~repro.sgtree.executor.QueryExecutor` used by
-        :meth:`batch`.
+        :class:`~repro.sgtree.executor.QueryExecutor` that answers
+        batches.
 
     The service is thread-safe; one instance serves every handler thread
     of the HTTP layer.
@@ -518,19 +518,6 @@ class QueryService:
             return None
         return self.tracing.store.get(trace_id)
 
-    def _signature(self, items: "Sequence[int] | Signature",
-                   n_bits: "int | None" = None) -> Signature:
-        """Build a query signature against the *current* generation.
-
-        Single-tree hooks pass the pinned snapshot's ``n_bits`` so the
-        signature matches the exact tree version the query will walk.
-        """
-        if isinstance(items, Signature):
-            return items
-        if n_bits is None:
-            n_bits = self._n_bits()
-        return Signature.from_items(list(items), n_bits)
-
     def _n_bits(self) -> int:
         """Signature length of the index serving right now."""
         return self._tree.n_bits
@@ -551,191 +538,68 @@ class QueryService:
                 raise
             return fn()
 
-    # -- execution hooks ---------------------------------------------------
-    # The public routes below resolve deadlines and run admission; these
-    # hooks do the actual work and are what the sharded service overrides
-    # to scatter-gather instead of querying one tree.
+    # -- the query route ---------------------------------------------------
 
-    def _local_tracer(self, algorithm: "str | None" = "depth-first",
-                      ) -> "Tracer | None":
-        """A per-node tracer for head-sampled single-tree requests.
+    def query(self, query: Query, deadline_seconds: "float | None" = None,
+              request_id: "str | None" = None) -> ServedQuery:
+        """Answer one :class:`~repro.server.query.Query`.
 
-        Per-node tracing only understands the depth-first traversal (the
-        same restriction ``SGTree.explain`` has), so other algorithms
-        run untraced even when sampled.
+        The request waits for an admission slot and runs under its own
+        ``deadline_seconds`` budget (or the service default);
+        ``request_id`` names its trace.  A batch occupies **one** slot —
+        intra-batch parallelism is the executor's ``workers``/
+        ``batch_size`` — so a huge batch cannot starve interactive
+        requests of more than one slot, and one deadline bounds it all.
         """
-        trace = self.current_trace()
-        if trace is None or not trace.sampled:
-            return None
-        if algorithm != "depth-first":
-            return None
-        return Tracer()
-
-    def _attach_local(self, tracer: "Tracer | None",
-                      stats: SearchStats) -> None:
-        """File a single-tree visit-span trace as shard 0 of the trace."""
-        if tracer is None:
-            return
-        trace = self.current_trace()
-        if trace is None:
-            return
-        trace.attach_shard(
-            0,
-            [span.to_dict() for span in tracer.spans],
-            stats=_stats_doc(stats),
-            reconciled=tracer.reconciles(stats),
-        )
-
-    def _run_knn(self, items, k, metric, algorithm, deadline) -> ServedQuery:
-        stats = SearchStats()
-        tracer = self._local_tracer(algorithm)
-        with self._tree.snapshot() as snap:
-            results = snap.nearest(
-                self._signature(items, snap.n_bits), k=k, metric=metric,
-                algorithm=algorithm, stats=stats, deadline=deadline,
-                tracer=tracer,
-            )
-            generation = snap.generation
-        self._attach_local(tracer, stats)
-        return ServedQuery("knn", results, stats, tree_generation=generation)
-
-    def _run_range(self, items, epsilon, metric, deadline) -> ServedQuery:
-        stats = SearchStats()
-        tracer = self._local_tracer()
-        with self._tree.snapshot() as snap:
-            results = snap.range_query(
-                self._signature(items, snap.n_bits), epsilon, metric=metric,
-                stats=stats, deadline=deadline, tracer=tracer,
-            )
-            generation = snap.generation
-        self._attach_local(tracer, stats)
-        return ServedQuery("range", results, stats, tree_generation=generation)
-
-    def _run_containment(self, items, deadline) -> ServedQuery:
-        stats = SearchStats()
-        tracer = self._local_tracer()
-        with self._tree.snapshot() as snap:
-            results = snap.containment_query(
-                self._signature(items, snap.n_bits), stats=stats,
-                deadline=deadline, tracer=tracer,
-            )
-            generation = snap.generation
-        self._attach_local(tracer, stats)
-        return ServedQuery(
-            "containment", results, stats, tree_generation=generation
-        )
-
-    def _run_batch(self, queries, kind, k, epsilon, metric, deadline,
-                   ) -> ServedQuery:
-        stats = SearchStats()
-        signatures = [self._signature(q) for q in queries]
-        trace = self.current_trace()
-        # The executor pins its own snapshot for the whole batch; the
-        # generation reported here is the published one at dispatch,
-        # which the executor's pin can only match or exceed.
-        generation = self._tree.generation
-        if kind == "knn":
-            results = self._executor.knn(
-                signatures, k=k, metric=metric, stats=stats,
-                deadline=deadline, trace=trace,
-            )
-        else:
-            results = self._executor.range_query(
-                signatures, epsilon, metric=metric, stats=stats,
-                deadline=deadline, trace=trace,
-            )
-        return ServedQuery(
-            f"batch_{kind}", results, stats, tree_generation=generation
-        )
-
-    # -- query routes ------------------------------------------------------
-
-    def knn(
-        self,
-        items: "Sequence[int] | Signature",
-        k: int = 1,
-        metric: "str | None" = None,
-        algorithm: str = "depth-first",
-        deadline_seconds: "float | None" = None,
-        request_id: "str | None" = None,
-    ) -> ServedQuery:
-        """k-NN over the current snapshot; results are
-        :class:`~repro.sgtree.search.Neighbor` tuples."""
         deadline = self.resolve_deadline(deadline_seconds)
         return self._serve(
-            "knn", deadline,
-            lambda: self._retrying(
-                lambda: self._run_knn(items, k, metric, algorithm, deadline)
-            ),
+            query.route, deadline,
+            lambda: self._retrying(lambda: self._run(query, deadline)),
             request_id=request_id,
         )
 
-    def range(
-        self,
-        items: "Sequence[int] | Signature",
-        epsilon: float,
-        metric: "str | None" = None,
-        deadline_seconds: "float | None" = None,
-        request_id: "str | None" = None,
-    ) -> ServedQuery:
-        """Similarity range query over the current snapshot."""
-        deadline = self.resolve_deadline(deadline_seconds)
-        return self._serve(
-            "range", deadline,
-            lambda: self._retrying(
-                lambda: self._run_range(items, epsilon, metric, deadline)
-            ),
-            request_id=request_id,
-        )
+    def _run(self, query: Query, deadline: "Deadline | None") -> ServedQuery:
+        """Execute one admitted query (the sharded service scatters instead).
 
-    def containment(
-        self,
-        items: "Sequence[int] | Signature",
-        deadline_seconds: "float | None" = None,
-        request_id: "str | None" = None,
-    ) -> ServedQuery:
-        """Containment (superset) query over the current snapshot."""
-        deadline = self.resolve_deadline(deadline_seconds)
-        return self._serve(
-            "containment", deadline,
-            lambda: self._retrying(
-                lambda: self._run_containment(items, deadline)
-            ),
-            request_id=request_id,
-        )
-
-    def batch(
-        self,
-        queries: "Sequence[Sequence[int] | Signature]",
-        kind: str = "knn",
-        k: int = 1,
-        epsilon: "float | None" = None,
-        metric: "str | None" = None,
-        deadline_seconds: "float | None" = None,
-        request_id: "str | None" = None,
-    ) -> ServedQuery:
-        """A whole query batch through the thread-pooled executor.
-
-        The batch occupies **one** admission slot; intra-batch
-        parallelism is the executor's ``workers``/``batch_size``, so a
-        single huge batch cannot starve interactive requests of more
-        than one slot.  One deadline bounds the whole batch.
+        Single queries pin one snapshot, and a head-sampled one files its
+        per-node visit spans as shard 0 of the request trace.  Batches
+        run on the thread-pooled executor, which pins its own snapshot;
+        the generation reported is the published one at dispatch, which
+        the executor's pin can only match or exceed.
         """
-        if kind not in ("knn", "range"):
-            raise ValueError(
-                f"batch kind must be 'knn' or 'range', got {kind!r}"
-            )
-        if kind == "range" and epsilon is None:
-            raise ValueError("batch kind 'range' requires epsilon")
-        deadline = self.resolve_deadline(deadline_seconds)
-        return self._serve(
-            "batch", deadline,
-            lambda: self._retrying(
-                lambda: self._run_batch(
-                    queries, kind, k, epsilon, metric, deadline
+        stats = SearchStats()
+        trace = self.current_trace()
+        if query.batch:
+            generation = self._tree.generation
+            signatures = query.signatures(self._tree.n_bits)
+            if query.kind == "batch_knn":
+                results = self._executor.knn(
+                    signatures, k=query.k, metric=query.metric, stats=stats,
+                    deadline=deadline, trace=trace,
                 )
-            ),
-            request_id=request_id,
+            else:
+                results = self._executor.range_query(
+                    signatures, query.epsilon, metric=query.metric,
+                    stats=stats, deadline=deadline, trace=trace,
+                )
+            return ServedQuery(
+                query.kind, results, stats, tree_generation=generation
+            )
+        tracer = query.tracer(trace is not None and trace.sampled)
+        with self._tree.snapshot() as snap:
+            results = query.run(
+                snap, stats=stats, deadline=deadline, tracer=tracer
+            )
+            generation = snap.generation
+        if tracer is not None:
+            trace.attach_shard(
+                0,
+                [span.to_dict() for span in tracer.spans],
+                stats=_stats_doc(stats),
+                reconciled=tracer.reconciles(stats),
+            )
+        return ServedQuery(
+            query.kind, results, stats, tree_generation=generation
         )
 
     # -- snapshot hot-swap -------------------------------------------------

@@ -69,10 +69,11 @@ from ..errors import (
     ShardUnavailable,
 )
 from ..sgtree.bulkload import bulk_load, gray_sort_order, minhash_order
-from ..sgtree.search import Deadline, Neighbor, SearchStats
+from ..sgtree.search import Deadline, SearchStats
 from ..sgtree.tree import SGTree
-from ..telemetry.tracing import TraceContext, Tracer
+from ..telemetry.tracing import TraceContext
 from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
+from .query import Query
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
 from .service import QueryService, ServedQuery, _stats_doc, _store_health
 
@@ -103,6 +104,17 @@ def _span(trace, name: str, **attrs: object):
     if trace is None:
         return nullcontext()
     return trace.span(name, **attrs)
+
+
+def _attach_shard_trace(trace, shard_id: int, response: dict) -> None:
+    """Stitch a shard's shipped-back visit spans into the request trace."""
+    if trace is not None and "trace" in response:
+        trace.attach_shard(
+            shard_id,
+            response["trace"].get("spans", []),
+            stats=response.get("stats"),
+            reconciled=response["trace"].get("reconciled"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +266,18 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
 
     Returns a response dict: ``{"ok": True, "results": ..., "stats":
     {...}}`` or ``{"ok": False, "error": <type name>, "message": ...}``.
-    The request ``budget`` (remaining seconds) becomes a local
+    Every request but ``ping`` is a :meth:`Query.to_wire` dict plus
+    request context: the ``budget`` (remaining seconds) becomes a local
     :class:`Deadline`, so an over-budget traversal aborts *inside the
     worker* too — a shard never burns CPU for a caller that has already
-    given up.
-
-    Cooperative pruning hooks: a kNN request may carry an
-    ``initial_threshold`` (the coordinator's k-th-distance seed, applied
-    before the first node is visited) and ``bound`` may be the request's
-    :class:`_PipeBound` exchange channel, which the engines poll every
-    ``bound.interval`` node visits.  ``batch_knn`` accepts
-    per-query ``initial_thresholds`` the same way.
+    given up; a sampled ``trace`` context turns on per-node tracing; a
+    kNN ``initial_threshold`` (the coordinator's k-th-distance seed) is
+    applied before the first node is visited, and ``bound`` may be the
+    request's :class:`_PipeBound` exchange channel, which the engines
+    poll every ``bound.interval`` node visits.
     """
-    op = request["op"]
     try:
-        if op == "ping":
+        if request["op"] == "ping":
             health = _store_health(tree.store)
             return {
                 "ok": True, "transactions": len(tree), "n_bits": tree.n_bits,
@@ -277,64 +286,17 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
             }
         budget = request.get("budget")
         deadline = Deadline.after(max(0.0, budget)) if budget is not None else None
-        stats = SearchStats()
-        n_bits = tree.n_bits
-        # Per-node tracing runs inside the worker only for head-sampled
-        # requests (the trace context rides the wire) and only for the
-        # single-query depth-first traversals the Tracer understands.
+        query = Query.from_wire(request)
         ctx = TraceContext.from_wire(request.get("trace"))
-        tracer = None
-        if ctx is not None and ctx.sampled and op in (
-            "knn", "range", "containment"
-        ) and (op != "knn"
-               or request.get("algorithm", "depth-first") == "depth-first"):
-            tracer = Tracer()
-        if op == "knn":
-            results = tree.nearest(
-                Signature.from_items(request["items"], n_bits),
-                k=request["k"], metric=request.get("metric"),
-                algorithm=request.get("algorithm", "depth-first"),
-                stats=stats, deadline=deadline, tracer=tracer,
-                initial_threshold=request.get("initial_threshold"),
-                bound=bound,
-            )
-            payload = [(n.distance, n.tid) for n in results]
-        elif op == "range":
-            results = tree.range_query(
-                Signature.from_items(request["items"], n_bits),
-                request["epsilon"], metric=request.get("metric"),
-                stats=stats, deadline=deadline, tracer=tracer,
-            )
-            payload = [(n.distance, n.tid) for n in results]
-        elif op == "containment":
-            payload = tree.containment_query(
-                Signature.from_items(request["items"], n_bits),
-                stats=stats, deadline=deadline, tracer=tracer,
-            )
-        elif op == "batch_knn":
-            signatures = [
-                Signature.from_items(items, n_bits) for items in request["queries"]
-            ]
-            results = tree.batch_nearest(
-                signatures, k=request["k"], metric=request.get("metric"),
-                stats=stats, deadline=deadline,
-                initial_thresholds=request.get("initial_thresholds"),
-            )
-            payload = [[(n.distance, n.tid) for n in row] for row in results]
-        elif op == "batch_range":
-            signatures = [
-                Signature.from_items(items, n_bits) for items in request["queries"]
-            ]
-            results = tree.batch_range_query(
-                signatures, request["epsilon"], metric=request.get("metric"),
-                stats=stats, deadline=deadline,
-            )
-            payload = [[(n.distance, n.tid) for n in row] for row in results]
-        else:
-            raise ValueError(f"unknown shard op {op!r}")
+        tracer = query.tracer(ctx is not None and ctx.sampled)
+        stats = SearchStats()
+        results = query.run(
+            tree, stats=stats, deadline=deadline, tracer=tracer,
+            initial_threshold=request.get("initial_threshold"), bound=bound,
+        )
         response = {
             "ok": True,
-            "results": payload,
+            "results": _plain(results),
             # buffer_hits travels explicitly: it is a derived property
             # and the coordinator's stitch check needs it post-JSON.
             "stats": _stats_doc(stats),
@@ -347,6 +309,15 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
         return response
     except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
         return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+
+
+def _plain(results: list) -> list:
+    """Engine answers with each ``Neighbor`` as a plain ``(distance,
+    tid)`` tuple, per row for a batch: a named tuple costs a Python-level
+    constructor call per hit to unpickle, a plain tuple none."""
+    if results and isinstance(results[0], list):
+        return [_plain(row) for row in results]
+    return [tuple(hit) if isinstance(hit, tuple) else hit for hit in results]
 
 
 class _PendingCall:
@@ -1068,38 +1039,22 @@ class ShardedTree:
 
     # -- scatter/gather ----------------------------------------------------
 
-    def scatter(self, request: dict, deadline: "Deadline | None" = None,
-                trace=None) -> "tuple[dict[int, dict], Coverage]":
-        """Send ``request`` to every shard; gather within the deadline.
-
-        Returns ``(responses by shard id, coverage)``; raises only when
-        zero shards answered (see the class docstring).  When ``trace``
-        rides along it is handed to every :meth:`ShardHandle.call` (per-
-        attempt ``rpc`` spans), the whole fan-out is timed as one
-        ``scatter`` span, and each shard's shipped-back visit-span tree
-        is stitched into the trace as it arrives.
-        """
-        answered, errors = self._scatter_to(
-            self.handles, request, deadline, trace
-        )
-        if not answered:
-            self._raise_total_failure(errors, deadline)
-        return answered, Coverage(len(self.handles), len(answered), errors)
-
     def _scatter_to(self, handles: "Sequence[ShardHandle]", request: dict,
                     deadline: "Deadline | None", trace=None,
                     bound: "GlobalBound | None" = None,
                     ) -> "tuple[dict[int, dict], dict[int, str]]":
-        """The raw fan-out: ``(responses, errors)`` over ``handles``.
+        """Send ``request`` to ``handles``; gather within the deadline.
 
-        When ``bound`` is armed each arriving kNN response is folded
-        into it immediately, so a fast shard's answer tightens the bound
-        the slow shards' next mid-flight exchange picks up.
+        Returns ``(responses, errors)`` by shard id.  When ``trace``
+        rides along it is handed to every :meth:`ShardHandle.call` (per-
+        attempt ``rpc`` spans), the whole fan-out is timed as one
+        ``scatter`` span, and each shard's shipped-back visit-span tree
+        is stitched into the trace as it arrives.  When ``bound`` is
+        armed each arriving kNN response is folded into it immediately,
+        so a fast shard's answer tightens the bound the slow shards'
+        next mid-flight exchange picks up.
         """
         with _span(trace, "scatter", shards=len(handles)) as span:
-            if trace is not None:
-                request = dict(request)
-                request["trace"] = trace.context().to_wire()
             futures = {
                 self._pool.submit(
                     handle.call, request, deadline, trace,
@@ -1135,13 +1090,7 @@ class ShardedTree:
                     answered[handle.shard_id] = response
                     if bound is not None:
                         bound.fold(response.get("results") or ())
-                    if trace is not None and "trace" in response:
-                        trace.attach_shard(
-                            handle.shard_id,
-                            response["trace"].get("spans", []),
-                            stats=response.get("stats"),
-                            reconciled=response["trace"].get("reconciled"),
-                        )
+                    _attach_shard_trace(trace, handle.shard_id, response)
             for future in outstanding:
                 # Deadline ran out first; the handle's own bounded wait
                 # unblocks these scatter threads moments later.
@@ -1185,54 +1134,32 @@ class ShardedTree:
             stats.leaf_entries += row.get("leaf_entries", 0)
             stats.bound_updates_applied += row.get("bound_updates_applied", 0)
 
-    def nearest(self, query: Signature, k: int = 1,
-                metric: "str | None" = None, algorithm: str = "depth-first",
-                stats: "SearchStats | None" = None,
-                deadline: "Deadline | None" = None,
-                trace=None,
-                ) -> "tuple[list[Neighbor], Coverage]":
-        request = {"op": "knn", "items": list(query.items()), "k": k,
-                   "metric": metric, "algorithm": algorithm}
-        if not self.bound_sharing:
-            responses, coverage = self.scatter(request, deadline, trace=trace)
-            self._merge_stats(responses, stats)
-            with _span(trace, "merge", op="knn"):
-                merged = sorted(
-                    (Neighbor(distance, tid)
-                     for response in responses.values()
-                     for distance, tid in response["results"]),
-                )
-            return merged[:k], coverage
-        return self._nearest_cooperative(
-            query, request, k, stats, deadline, trace
-        )
+    def query(self, query: Query, stats: "SearchStats | None" = None,
+              deadline: "Deadline | None" = None, trace=None,
+              ) -> "tuple[list, Coverage]":
+        """Answer one query across the shards: ``(merged, coverage)``.
 
-    def _nearest_cooperative(self, query: Signature, request: dict, k: int,
-                             stats: "SearchStats | None",
-                             deadline: "Deadline | None", trace,
-                             ) -> "tuple[list[Neighbor], Coverage]":
-        """Pilot-first, bound-sharing kNN.
-
-        With a router, the query's home shard answers alone first and
-        its k-th distance seeds the scatter to the rest; without one the
-        fan-out is simultaneous but still exchanges mid-flight bounds.
-        The final merge pools the responses *and* the bound's salvaged
-        candidates — evidence a shard reported before dying stays in the
-        answer, so a dead shard's bound can never over-tighten the
-        survivors' merged result.
+        Scatters the query's wire dict, gathers within the deadline and
+        folds the answers with :meth:`Query.merge`; ``stats`` sums the
+        shards' traffic.  Cooperative kNN (see the class docstring)
+        asks the pilot shard first, then merges the responses *and* the
+        bound's salvaged candidates — evidence a shard reported before
+        dying stays in the answer, so a dead shard's bound can never
+        over-tighten the survivors' merged result.
         """
-        bound = GlobalBound(k)
+        request = query.to_wire()
+        if trace is not None:
+            request["trace"] = trace.context().to_wire()
         responses: "dict[int, dict]" = {}
         errors: "dict[int, str]" = {}
-        pilot: "ShardHandle | None" = None
-        if self.router is not None and len(self.handles) > 1:
-            pilot_id = self.router.route(query)
-            pilot = next(
-                (h for h in self.handles if h.shard_id == pilot_id), None
-            )
-        if trace is not None and "trace" not in request:
-            request = dict(request)
-            request["trace"] = trace.context().to_wire()
+        bound = pilot = None
+        if query.kind == "knn" and self.bound_sharing:
+            bound = GlobalBound(query.k)
+            if self.router is not None and len(self.handles) > 1:
+                pilot_id = self.router.route(query.signatures(self.n_bits)[0])
+                pilot = next(
+                    (h for h in self.handles if h.shard_id == pilot_id), None
+                )
         if pilot is not None:
             with _span(trace, "pilot", shard=pilot.shard_id):
                 try:
@@ -1245,46 +1172,31 @@ class ShardedTree:
                 else:
                     responses[pilot.shard_id] = response
                     bound.fold(response.get("results") or (), source="pilot")
-                    if trace is not None and "trace" in response:
-                        trace.attach_shard(
-                            pilot.shard_id,
-                            response["trace"].get("spans", []),
-                            stats=response.get("stats"),
-                            reconciled=response["trace"].get("reconciled"),
-                        )
+                    _attach_shard_trace(trace, pilot.shard_id, response)
         rest = [h for h in self.handles if h is not pilot]
-        if rest:
-            rest_answers, rest_errors = self._scatter_to(
-                rest, request, deadline, trace, bound=bound
-            )
-            responses.update(rest_answers)
-            errors.update(rest_errors)
+        answered, failed = self._scatter_to(
+            rest, request, deadline, trace, bound
+        )
+        responses.update(answered)
+        errors.update(failed)
         if not responses:
             self._raise_total_failure(errors, deadline)
-        coverage = Coverage(len(self.handles), len(responses), errors)
         self._merge_stats(responses, stats)
-        with _span(trace, "merge", op="knn"):
-            seen: set = set()
-            pool: "list[Neighbor]" = []
-            for response in responses.values():
-                for distance, tid in response["results"]:
-                    if (distance, tid) not in seen:
-                        seen.add((distance, tid))
-                        pool.append(Neighbor(distance, tid))
+        answers = [response["results"] for response in responses.values()]
+        if bound is not None:
             # Salvage: candidates the bound holds from shards that died
             # after reporting — true distances, merged like any answer.
-            for distance, tid in bound.candidates():
-                if (distance, tid) not in seen:
-                    seen.add((distance, tid))
-                    pool.append(Neighbor(distance, tid))
-            merged = sorted(pool)[:k]
-        if stats is not None:
-            # Coordinator-level provenance: where the final threshold
-            # that pruned this query came from (per-shard provenance
-            # still travels in each response's stats doc).
-            stats.bound_provenance = bound.source
-        self._observe_bound(bound, stats)
-        return merged, coverage
+            answers.append(bound.candidates())
+        with _span(trace, "merge", op=query.kind):
+            merged = query.merge(answers)
+        if bound is not None:
+            if stats is not None:
+                # Coordinator-level provenance: where the final threshold
+                # that pruned this query came from (per-shard provenance
+                # still travels in each response's stats doc).
+                stats.bound_provenance = bound.source
+            self._observe_bound(bound, stats)
+        return merged, Coverage(len(self.handles), len(responses), errors)
 
     def _observe_bound(self, bound: GlobalBound,
                        stats: "SearchStats | None") -> None:
@@ -1305,71 +1217,6 @@ class ShardedTree:
                 stats.bound_updates_applied
             )
 
-    def range_query(self, query: Signature, epsilon: float,
-                    metric: "str | None" = None,
-                    stats: "SearchStats | None" = None,
-                    deadline: "Deadline | None" = None,
-                    trace=None,
-                    ) -> "tuple[list[Neighbor], Coverage]":
-        responses, coverage = self.scatter(
-            {"op": "range", "items": list(query.items()),
-             "epsilon": epsilon, "metric": metric},
-            deadline, trace=trace,
-        )
-        self._merge_stats(responses, stats)
-        with _span(trace, "merge", op="range"):
-            merged = sorted(
-                Neighbor(distance, tid)
-                for response in responses.values()
-                for distance, tid in response["results"]
-            )
-        return merged, coverage
-
-    def containment_query(self, query: Signature,
-                          stats: "SearchStats | None" = None,
-                          deadline: "Deadline | None" = None,
-                          trace=None,
-                          ) -> "tuple[list[int], Coverage]":
-        responses, coverage = self.scatter(
-            {"op": "containment", "items": list(query.items())},
-            deadline, trace=trace,
-        )
-        self._merge_stats(responses, stats)
-        with _span(trace, "merge", op="containment"):
-            merged = sorted(
-                tid for response in responses.values()
-                for tid in response["results"]
-            )
-        return merged, coverage
-
-    def batch(self, queries: "Sequence[Signature]", kind: str = "knn",
-              k: int = 1, epsilon: "float | None" = None,
-              metric: "str | None" = None,
-              stats: "SearchStats | None" = None,
-              deadline: "Deadline | None" = None,
-              trace=None,
-              ) -> "tuple[list[list[Neighbor]], Coverage]":
-        """A whole batch scattered once; per-query merged results."""
-        items = [list(q.items()) for q in queries]
-        if kind == "knn":
-            request = {"op": "batch_knn", "queries": items, "k": k,
-                       "metric": metric}
-        else:
-            request = {"op": "batch_range", "queries": items,
-                       "epsilon": epsilon, "metric": metric}
-        responses, coverage = self.scatter(request, deadline, trace=trace)
-        self._merge_stats(responses, stats)
-        with _span(trace, "merge", op=f"batch_{kind}"):
-            merged: "list[list[Neighbor]]" = []
-            for index in range(len(items)):
-                row = sorted(
-                    Neighbor(distance, tid)
-                    for response in responses.values()
-                    for distance, tid in response["results"][index]
-                )
-                merged.append(row[:k] if kind == "knn" else row)
-        return merged, coverage
-
     def close(self) -> None:
         self._pool.shutdown(wait=False)
         for handle in self.handles:
@@ -1386,7 +1233,7 @@ class ShardedQueryService(QueryService):
     Inherits the whole request path of
     :class:`~repro.server.service.QueryService` — admission slots,
     bounded queue, deadlines, per-route telemetry — and swaps the
-    execution hooks for scatter-gather over the shards.  Shard failures
+    execution hook for scatter-gather over the shards.  Shard failures
     degrade responses to partial results with
     :class:`Coverage` detail; the request itself only fails when *no*
     shard answered.
@@ -1440,62 +1287,20 @@ class ShardedQueryService(QueryService):
     def _n_bits(self) -> int:
         return self._shards.n_bits
 
-    def _observe_coverage(self, route: str, coverage: Coverage) -> None:
+    # -- execution hook ----------------------------------------------------
+
+    def _run(self, query: Query, deadline: "Deadline | None") -> ServedQuery:
+        stats = SearchStats()
+        results, coverage = self._shards.query(
+            query, stats, deadline, self.current_trace()
+        )
         telemetry = self.telemetry
         if telemetry is not None:
             if coverage.partial:
-                telemetry.server_partial_total.labels(route=route).inc()
+                telemetry.server_partial_total.labels(route=query.route).inc()
             telemetry.shards_up.set(self._shards.shards_up())
-
-    # -- execution hooks ----------------------------------------------------
-
-    def _run_knn(self, items, k, metric, algorithm, deadline) -> ServedQuery:
-        stats = SearchStats()
-        results, coverage = self._shards.nearest(
-            self._signature(items), k=k, metric=metric, algorithm=algorithm,
-            stats=stats, deadline=deadline, trace=self.current_trace(),
-        )
-        self._observe_coverage("knn", coverage)
         return ServedQuery(
-            "knn", results, stats,
-            coverage=coverage.as_dict(), partial=coverage.partial,
-        )
-
-    def _run_range(self, items, epsilon, metric, deadline) -> ServedQuery:
-        stats = SearchStats()
-        results, coverage = self._shards.range_query(
-            self._signature(items), epsilon, metric=metric,
-            stats=stats, deadline=deadline, trace=self.current_trace(),
-        )
-        self._observe_coverage("range", coverage)
-        return ServedQuery(
-            "range", results, stats,
-            coverage=coverage.as_dict(), partial=coverage.partial,
-        )
-
-    def _run_containment(self, items, deadline) -> ServedQuery:
-        stats = SearchStats()
-        results, coverage = self._shards.containment_query(
-            self._signature(items), stats=stats, deadline=deadline,
-            trace=self.current_trace(),
-        )
-        self._observe_coverage("containment", coverage)
-        return ServedQuery(
-            "containment", results, stats,
-            coverage=coverage.as_dict(), partial=coverage.partial,
-        )
-
-    def _run_batch(self, queries, kind, k, epsilon, metric, deadline,
-                   ) -> ServedQuery:
-        stats = SearchStats()
-        signatures = [self._signature(q) for q in queries]
-        results, coverage = self._shards.batch(
-            signatures, kind=kind, k=k, epsilon=epsilon, metric=metric,
-            stats=stats, deadline=deadline, trace=self.current_trace(),
-        )
-        self._observe_coverage("batch", coverage)
-        return ServedQuery(
-            f"batch_{kind}", results, stats,
+            query.kind, results, stats,
             coverage=coverage.as_dict(), partial=coverage.partial,
         )
 

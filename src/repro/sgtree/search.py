@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,9 +95,11 @@ class Deadline:
 
     @classmethod
     def after(cls, seconds: float) -> "Deadline":
-        """A deadline ``seconds`` from now (non-negative)."""
-        if seconds < 0:
-            raise ValueError(f"deadline budget must be >= 0, got {seconds}")
+        """A deadline ``seconds`` from now (finite, non-negative)."""
+        if not 0 <= seconds < math.inf:
+            raise ValueError(
+                f"deadline budget must be finite and >= 0, got {seconds}"
+            )
         return cls(time.monotonic() + seconds, budget=seconds)
 
     def expired(self) -> bool:

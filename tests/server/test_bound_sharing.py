@@ -20,6 +20,7 @@ from repro import COSINE, DICE, HAMMING, JACCARD, OVERLAP, SGTree
 from repro.errors import ShardUnavailable
 from repro.server import (
     GlobalBound,
+    Query,
     ShardedTree,
     make_shard_handles,
     partition_routed,
@@ -162,6 +163,7 @@ class TestCooperativeEquivalence:
     def test_thread_mode_bit_identical(
         self, transactions, reference, queries, metric
     ):
+        """Process shards answer bit-identically for every metric."""
         partitions, router = partition_routed(transactions, N_SHARDS)
         handles = make_shard_handles(partitions, N_BITS)
         sharded = ShardedTree(
@@ -171,8 +173,9 @@ class TestCooperativeEquivalence:
             stats = SearchStats()
             for query in queries:
                 expected = reference.nearest(query, k=K, metric=metric.name)
-                merged, coverage = sharded.nearest(
-                    query, k=K, metric=metric.name, stats=stats
+                merged, coverage = sharded.query(
+                    Query("knn", query.items(), k=K, metric=metric.name),
+                    stats=stats,
                 )
                 assert not coverage.partial
                 assert merged == expected
@@ -195,7 +198,9 @@ class TestCooperativeProcessMode:
             stats = SearchStats()
             for query in queries:
                 expected = reference.nearest(query, k=K)
-                merged, coverage = sharded.nearest(query, k=K, stats=stats)
+                merged, coverage = sharded.query(
+                    Query("knn", query.items(), k=K), stats=stats
+                )
                 assert not coverage.partial
                 assert merged == expected
             # bound_updates_applied aggregates over the per-shard stats
@@ -219,8 +224,8 @@ class TestCooperativeProcessMode:
                 expected = reference.nearest(
                     query, k=K, algorithm="best-first"
                 )
-                merged, coverage = sharded.nearest(
-                    query, k=K, algorithm="best-first"
+                merged, coverage = sharded.query(
+                    Query("knn", query.items(), k=K, algorithm="best-first")
                 )
                 assert not coverage.partial
                 assert [n.distance for n in merged] == \
@@ -242,7 +247,7 @@ class TestCooperativeProcessMode:
         try:
             for query in queries:
                 expected = reference.nearest(query, k=K)
-                merged, _ = sharded.nearest(query, k=K)
+                merged, _ = sharded.query(Query("knn", query.items(), k=K))
                 assert merged == expected
         finally:
             sharded.close()
@@ -291,7 +296,9 @@ class TestDeadShardSafety:
             self._sharded_with_a_dying_shard(transactions, dead_index=1)
         try:
             for query in queries:
-                merged, coverage = sharded.nearest(query, k=K)
+                merged, coverage = sharded.query(
+                    Query("knn", query.items(), k=K)
+                )
                 # Coverage is accurate: exactly one shard errored.
                 assert coverage.partial
                 assert coverage.answered == N_SHARDS - 1
@@ -337,7 +344,7 @@ class TestDeadShardSafety:
             self._sharded_with_a_dying_shard(transactions, pilot_id)
         assert dead_id == pilot_id
         try:
-            merged, coverage = sharded.nearest(query, k=K)
+            merged, coverage = sharded.query(Query("knn", query.items(), k=K))
             assert coverage.partial
             assert set(coverage.errors) == {pilot_id}
             assert merged == reference.nearest(query, k=K)
@@ -357,7 +364,7 @@ class TestCoordinatorStats:
         try:
             stats = SearchStats()
             for query in queries:
-                sharded.nearest(query, k=K, stats=stats)
+                sharded.query(Query("knn", query.items(), k=K), stats=stats)
             # With a pilot seeding every scatter, some query's final
             # threshold is non-local.
             assert stats.bound_provenance in ("pilot", "broadcast")

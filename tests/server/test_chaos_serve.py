@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.server import (
     Backoff,
     CircuitBreaker,
+    Query,
     ShardedQueryService,
     ShardedTree,
     ShardHandle,
@@ -111,13 +112,14 @@ class TestChaosCampaign:
                 started = time.monotonic()
                 try:
                     if use_range:
-                        served = service.range(
-                            list(q.items()), epsilon,
+                        served = service.query(
+                            Query("range", q.items(), epsilon=epsilon),
                             deadline_seconds=DEADLINE,
                         )
                     else:
-                        served = service.knn(
-                            list(q.items()), k=5, deadline_seconds=DEADLINE
+                        served = service.query(
+                            Query("knn", q.items(), k=5),
+                            deadline_seconds=DEADLINE,
                         )
                 except (QueryTimeout, ShardError, CircuitOpen):
                     served = None
@@ -184,7 +186,9 @@ class TestChaosCampaign:
                     break
             assert all(h.is_up() for h in handles)
             q = transactions[0].signature
-            served = service.knn(list(q.items()), k=5, deadline_seconds=5.0)
+            served = service.query(
+                Query("knn", q.items(), k=5), deadline_seconds=5.0
+            )
             assert not served.partial
             expected = {(n.tid, n.distance) for n in reference.nearest(q, k=5)}
             assert {(n.tid, n.distance) for n in served.results} == expected
@@ -264,7 +268,7 @@ class TestCorruptedShardPager:
         try:
             # Sanity: before the rot, shard 0 answers.
             q = partitions[0][0].signature
-            _, coverage = sharded.nearest(q, k=3)
+            _, coverage = sharded.query(Query("knn", q.items(), k=3))
             assert not coverage.partial
 
             # Rot the page file: flip a payload byte in every slot (the
@@ -279,7 +283,9 @@ class TestCorruptedShardPager:
             saw_corruption = False
             for _ in range(6):
                 query = random_signature(rng, N_BITS, max_items=12)
-                merged, coverage = sharded.nearest(query, k=5)
+                merged, coverage = sharded.query(
+                    Query("knn", query.items(), k=5)
+                )
                 if 0 in coverage.errors:
                     saw_corruption = True
                     full = {
@@ -297,7 +303,7 @@ class TestCorruptedShardPager:
             # A supervisor restart rebuilds from source and heals it.
             corrupt_handle.restart()
             assert corrupt_handle.probe() is not None
-            merged, coverage = sharded.nearest(q, k=3)
+            merged, coverage = sharded.query(Query("knn", q.items(), k=3))
             assert not coverage.partial
             expected = {(n.tid, n.distance) for n in reference.nearest(q, k=3)}
             assert {(n.tid, n.distance) for n in merged} == expected

@@ -169,24 +169,86 @@ class TestErrorMapping:
         assert post(f"{base}/admin/reload", {})[0] == 400
 
 
+def running(service):
+    """Serve ``service`` on a free port; yields the base URL."""
+    server = make_server(service, host="127.0.0.1", port=0)
+    server.serve_background()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.close()
+
+
+@pytest.fixture(scope="module")
+def single_served():
+    """A running single-tree server shared by the module; yields its URL."""
+    yield from running(
+        QueryService(build_tree(), max_inflight=4, max_queue=8)
+    )
+
+
+@pytest.fixture(scope="module")
+def sharded_served():
+    """A running 2-shard server shared by the module; yields its URL."""
+    transactions = random_transactions(seed=5, count=200, n_bits=N_BITS)
+    partitions = partition_transactions(transactions, 2)
+    yield from running(ShardedQueryService(
+        ShardedTree(make_shard_handles(partitions, N_BITS), N_BITS),
+        max_inflight=4, max_queue=8,
+    ))
+
+
+NAN = float("nan")
+
+
+class TestMalformedBodies:
+    """Every malformed numeric field is a 400 on both serving modes."""
+
+    @pytest.mark.parametrize("route, body", [
+        pytest.param("knn", {"items": [1, 2], "k": 2.7}, id="k-float"),
+        pytest.param("knn", {"items": [1, 2], "k": True}, id="k-bool"),
+        pytest.param("knn", {"items": [1, 2], "k": 0}, id="k-zero"),
+        pytest.param("knn", {"items": [1.5], "k": 2}, id="item-float"),
+        pytest.param("containment", {"items": [True]}, id="item-bool"),
+        pytest.param("knn", {"items": [1, 2], "algorithm": "sideways"},
+                     id="unknown-algorithm"),
+        pytest.param("knn", {"items": [1, 2], "deadline_ms": NAN},
+                     id="deadline-nan"),
+        pytest.param("knn", {"items": [1, 2], "deadline_ms": 10**400},
+                     id="deadline-overflow"),
+        pytest.param("range", {"items": [1, 2], "epsilon": NAN},
+                     id="epsilon-nan"),
+        pytest.param("range", {"items": [1, 2], "epsilon": -0.5},
+                     id="epsilon-negative"),
+        pytest.param("batch", {"queries": [[1, 2]], "kind": "range",
+                               "epsilon": NAN}, id="batch-epsilon-nan"),
+        pytest.param("batch", {"queries": [[1.5]], "k": 2},
+                     id="batch-item-float"),
+    ])
+    def test_same_400_on_single_tree_and_shards(
+        self, single_served, sharded_served, route, body
+    ):
+        single_status, _ = post(f"{single_served}/query/{route}", body)
+        status, doc = post(f"{sharded_served}/query/{route}", body)
+        assert single_status == status == 400
+        assert doc["error"].startswith("bad request")
+
+    def test_nan_deadlines_trip_no_breaker(self, sharded_served):
+        body = {"items": [1, 2, 3], "k": 3, "deadline_ms": NAN}
+        for _ in range(8):
+            assert post(f"{sharded_served}/query/knn", body)[0] == 400
+        health = json.loads(get(f"{sharded_served}/healthz")[1])
+        assert [row["breaker"] for row in health["shards"]["detail"]] == \
+            ["closed", "closed"]
+        status, doc = post(
+            f"{sharded_served}/query/knn", {"items": [1, 2, 3], "k": 3}
+        )
+        assert status == 200 and not doc["partial"]
+
+
 class TestShardedErrorMapping:
     """A request every shard rejects is the client's error, as on the
     single tree: 400, not a retryable 503."""
-
-    @pytest.fixture
-    def sharded_served(self):
-        transactions = random_transactions(seed=5, count=200, n_bits=N_BITS)
-        partitions = partition_transactions(transactions, 2)
-        service = ShardedQueryService(
-            ShardedTree(make_shard_handles(partitions, N_BITS), N_BITS),
-            max_inflight=4, max_queue=8,
-        )
-        server = make_server(service, host="127.0.0.1", port=0)
-        server.serve_background()
-        try:
-            yield f"http://127.0.0.1:{server.server_address[1]}"
-        finally:
-            server.close()
 
     @pytest.mark.parametrize("route, body", [
         ("knn", {"items": [1, 2, 3], "k": 3, "metric": "nonsense"}),

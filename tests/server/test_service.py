@@ -11,7 +11,7 @@ import pytest
 from repro import SGTree, Signature
 from repro.data.io import save_transactions
 from repro.errors import QueryTimeout
-from repro.server import QueryService, ReloadInProgress, RequestShed
+from repro.server import Query, QueryService, ReloadInProgress, RequestShed
 from repro.sgtree.persistence import save_tree
 from repro.telemetry import EventLog, MemoryEventSink, MetricsRegistry, Telemetry
 from support import random_signature, random_transactions
@@ -44,7 +44,7 @@ class TestQueryRoutes:
             rng = np.random.default_rng(3)
             for _ in range(5):
                 q = random_signature(rng, N_BITS, max_items=10)
-                served = service.knn(q, k=4)
+                served = service.query(Query("knn", q.items(), k=4))
                 assert served.results == tree.nearest(q, k=4)
                 assert served.kind == "knn"
                 assert served.stats.node_accesses > 0
@@ -54,31 +54,40 @@ class TestQueryRoutes:
     def test_items_list_accepted(self, tree):
         with QueryService(tree) as service:
             q = Signature.from_items([3, 17, 44], N_BITS)
-            assert service.knn([3, 17, 44], k=2).results == tree.nearest(q, k=2)
+            served = service.query(Query("knn", [3, 17, 44], k=2))
+            assert served.results == tree.nearest(q, k=2)
 
     def test_range_and_containment(self, tree):
         with QueryService(tree) as service:
             q = Signature.from_items([1, 2, 3], N_BITS)
-            assert service.range(q, 4.0).results == tree.range_query(q, 4.0)
-            assert service.containment([5]).results == \
+            ranged = service.query(Query("range", q.items(), epsilon=4.0))
+            assert ranged.results == tree.range_query(q, 4.0)
+            assert service.query(Query("containment", [5])).results == \
                 tree.containment_query(Signature.from_items([5], N_BITS))
 
     def test_batch_matches_executor(self, tree):
         rng = np.random.default_rng(9)
         queries = [random_signature(rng, N_BITS, max_items=10) for _ in range(9)]
         with QueryService(tree, workers=2, batch_size=4) as service:
-            served = service.batch(queries, kind="knn", k=3)
+            items = [q.items() for q in queries]
+            served = service.query(Query("batch_knn", queries=items, k=3))
             assert served.kind == "batch_knn"
             assert served.results == [tree.nearest(q, k=3) for q in queries]
-            ranged = service.batch(queries, kind="range", epsilon=4.0)
+            ranged = service.query(
+                Query("batch_range", queries=items, epsilon=4.0)
+            )
             assert ranged.results == [tree.range_query(q, 4.0) for q in queries]
 
     def test_batch_validation(self, tree):
         with QueryService(tree) as service:
             with pytest.raises(ValueError, match="kind"):
-                service.batch([[1]], kind="containment")
+                service.query(Query.from_body(
+                    "batch", {"queries": [[1]], "kind": "containment"}
+                ))
             with pytest.raises(ValueError, match="epsilon"):
-                service.batch([[1]], kind="range")
+                service.query(Query.from_body(
+                    "batch", {"queries": [[1]], "kind": "range"}
+                ))
 
     def test_constructor_validation(self, tree):
         with pytest.raises(ValueError, match="max_inflight"):
@@ -107,23 +116,25 @@ class TestAdmissionControl:
         service = QueryService(
             tree, telemetry=telemetry, max_inflight=2, max_queue=0
         )
-        original = service._run_knn
+        original = service._run
 
         def slow_run(*args):
             entered.wait(timeout=10)
             gate.wait(timeout=10)
             return original(*args)
 
-        service._run_knn = slow_run
+        service._run = slow_run
         q = Signature.from_items([1, 2], N_BITS)
+        query = Query("knn", q.items())
         threads = [
-            threading.Thread(target=service.knn, args=(q,)) for _ in range(2)
+            threading.Thread(target=service.query, args=(query,))
+            for _ in range(2)
         ]
         for t in threads:
             t.start()
         entered.wait(timeout=10)  # both slots now held
         with pytest.raises(RequestShed) as excinfo:
-            service.knn(q)
+            service.query(query)
         assert excinfo.value.inflight == 2
         gate.set()
         for t in threads:
@@ -140,7 +151,7 @@ class TestAdmissionControl:
         gate = threading.Event()
         entered = threading.Event()
         service = QueryService(tree, max_inflight=1, max_queue=4)
-        original = service._run_knn
+        original = service._run
         slow_once = {"pending": True}
 
         def slow_run(*args):
@@ -149,14 +160,15 @@ class TestAdmissionControl:
                 gate.wait(timeout=10)
             return original(*args)
 
-        service._run_knn = slow_run
+        service._run = slow_run
         q = Signature.from_items([1, 2], N_BITS)
-        occupier = threading.Thread(target=service.knn, args=(q,))
+        query = Query("knn", q.items())
+        occupier = threading.Thread(target=service.query, args=(query,))
         occupier.start()
         assert entered.wait(timeout=10)
         results = []
         waiter = threading.Thread(
-            target=lambda: results.append(service.knn(q))
+            target=lambda: results.append(service.query(query))
         )
         waiter.start()
         time.sleep(0.05)  # waiter is now queued on the semaphore
@@ -173,7 +185,7 @@ class TestAdmissionControl:
         service = QueryService(
             tree, telemetry=telemetry, max_inflight=1, max_queue=4
         )
-        original = service._run_knn
+        original = service._run
         slow_once = {"pending": True}
 
         def slow_run(*args):
@@ -182,14 +194,15 @@ class TestAdmissionControl:
                 gate.wait(timeout=10)
             return original(*args)
 
-        service._run_knn = slow_run
+        service._run = slow_run
         q = Signature.from_items([1, 2], N_BITS)
-        occupier = threading.Thread(target=service.knn, args=(q,))
+        query = Query("knn", q.items())
+        occupier = threading.Thread(target=service.query, args=(query,))
         occupier.start()
         assert entered.wait(timeout=10)
         started = time.monotonic()
         with pytest.raises(QueryTimeout):
-            service.knn(q, deadline_seconds=0.05)
+            service.query(query, deadline_seconds=0.05)
         assert time.monotonic() - started < 5.0
         gate.set()
         occupier.join(timeout=10)
@@ -200,14 +213,18 @@ class TestAdmissionControl:
     def test_deadline_expires_mid_traversal(self, tree):
         with QueryService(tree) as service:
             with pytest.raises(QueryTimeout):
-                service.knn([1, 2, 3], k=3, deadline_seconds=0.0)
+                service.query(
+                    Query("knn", [1, 2, 3], k=3), deadline_seconds=0.0
+                )
 
     def test_default_deadline_applies(self, tree):
         with QueryService(tree, default_deadline=1e-9) as service:
             with pytest.raises(QueryTimeout):
-                service.knn([1, 2, 3], k=3)
+                service.query(Query("knn", [1, 2, 3], k=3))
             # a per-request budget overrides the default
-            served = service.knn([1, 2, 3], k=3, deadline_seconds=30.0)
+            served = service.query(
+                Query("knn", [1, 2, 3], k=3), deadline_seconds=30.0
+            )
             assert served.results
 
 
@@ -224,7 +241,7 @@ class TestHotSwap:
             assert info["transactions"] == 120
             assert service.generation == 1
             assert len(service.tree) == 120
-            served = service.knn([1, 2, 3], k=2)
+            served = service.query(Query("knn", [1, 2, 3], k=2))
             assert served.generation == 1
         sink = telemetry.events._sinks[0]
         swaps = sink.of_type("snapshot_swap")
@@ -285,7 +302,8 @@ class TestHotSwap:
             i = 0
             while not stop.is_set():
                 try:
-                    served = service.knn(queries[i % len(queries)], k=2)
+                    query = queries[i % len(queries)]
+                    served = service.query(Query("knn", query.items(), k=2))
                     assert served.results is not None
                     with lock:
                         outcomes["ok"] += 1
@@ -321,7 +339,8 @@ class TestHotSwap:
         with QueryService(tree) as service:
             rng = np.random.default_rng(4)
             for _ in range(6):  # warm the old snapshot's arena
-                service.knn(random_signature(rng, N_BITS, max_items=10), k=3)
+                q = random_signature(rng, N_BITS, max_items=10)
+                service.query(Query("knn", q.items(), k=3))
             old_store = service.tree.tree.store
             old_generation = old_store.generation
             assert len(old_store.decode_cache) > 0
@@ -336,7 +355,8 @@ class TestHotSwap:
             assert len(old_store.decode_cache) == 0
             assert old_store.decode_cache.entries == 0
             # post-reload queries answer from (and cache under) the new store
-            served = service.knn(random_signature(rng, N_BITS, max_items=10), k=3)
+            q = random_signature(rng, N_BITS, max_items=10)
+            served = service.query(Query("knn", q.items(), k=3))
             assert served.generation == 1
             assert all(
                 key[0] != old_generation for key in new_store.decode_cache._views
@@ -357,7 +377,7 @@ class TestRetryAcrossAnNBitsSwap:
         monkeypatch.setattr(SGTree, "nearest", counting)
         with QueryService(tree) as service:
             with pytest.raises(ValueError, match="k must be"):
-                service.knn([1, 2, 3], k=0)
+                service.query(Query("knn", [1, 2, 3], k=0))
         assert calls == [0]
 
     def test_a_swap_to_other_n_bits_under_the_request_is_retried(self, tree):

@@ -11,6 +11,7 @@ from repro import SGTree, Signature
 from repro.errors import CircuitOpen, ReproError, ShardUnavailable
 from repro.server import (
     Coverage,
+    Query,
     ShardedQueryService,
     ShardedTree,
     ShardHandle,
@@ -93,7 +94,7 @@ class TestScatterGatherCorrectness:
 
     def test_knn_matches_reference(self, sharded, reference, queries):
         for q in queries:
-            merged, coverage = sharded.nearest(q, k=5)
+            merged, coverage = sharded.query(Query("knn", q.items(), k=5))
             expected = reference.nearest(q, k=5)
             assert {(n.tid, n.distance) for n in merged} == \
                 {(n.tid, n.distance) for n in expected}
@@ -102,20 +103,24 @@ class TestScatterGatherCorrectness:
 
     def test_range_matches_reference(self, sharded, reference, queries):
         for q in queries:
-            merged, coverage = sharded.range_query(q, 0.5)
+            merged, coverage = sharded.query(
+                Query("range", q.items(), epsilon=0.5)
+            )
             expected = reference.range_query(q, 0.5)
             assert sorted(merged) == sorted(expected)
             assert not coverage.partial
 
     def test_containment_matches_reference(self, sharded, reference, queries):
         for q in queries:
-            merged, coverage = sharded.containment_query(q)
+            merged, coverage = sharded.query(Query("containment", q.items()))
             expected = reference.containment_query(q)
             assert sorted(merged) == sorted(expected)
             assert not coverage.partial
 
     def test_batch_knn_matches_reference(self, sharded, reference, queries):
-        merged, coverage = sharded.batch(queries, kind="knn", k=3)
+        merged, coverage = sharded.query(
+            Query("batch_knn", queries=[q.items() for q in queries], k=3)
+        )
         assert not coverage.partial
         for q, row in zip(queries, merged):
             expected = reference.nearest(q, k=3)
@@ -126,7 +131,7 @@ class TestScatterGatherCorrectness:
         from repro import SearchStats
 
         stats = SearchStats()
-        sharded.nearest(queries[0], k=3, stats=stats)
+        sharded.query(Query("knn", queries[0].items(), k=3), stats=stats)
         assert stats.node_accesses > 0
 
 
@@ -135,7 +140,7 @@ class TestGracefulDegradation:
                                               queries):
         victim = sharded.handles[1]
         victim.worker.kill()
-        merged, coverage = sharded.nearest(queries[0], k=5)
+        merged, coverage = sharded.query(Query("knn", queries[0].items(), k=5))
         assert coverage.partial
         assert coverage.answered == N_SHARDS - 1
         assert victim.shard_id in coverage.errors
@@ -149,7 +154,9 @@ class TestGracefulDegradation:
                                              queries):
         sharded.handles[0].worker.kill()
         for q in queries[:4]:
-            merged, coverage = sharded.range_query(q, 0.5)
+            merged, coverage = sharded.query(
+                Query("range", q.items(), epsilon=0.5)
+            )
             assert coverage.partial
             full = set(reference.range_query(q, 0.5))
             assert set(merged) <= full
@@ -157,7 +164,9 @@ class TestGracefulDegradation:
     def test_breaker_open_shard_is_skipped_with_detail(self, sharded,
                                                        queries):
         sharded.handles[2].breaker.force_open()
-        merged, coverage = sharded.range_query(queries[0], 0.4)
+        merged, coverage = sharded.query(
+            Query("range", queries[0].items(), epsilon=0.4)
+        )
         assert coverage.partial
         assert coverage.errors[2].startswith("CircuitOpen")
 
@@ -165,14 +174,14 @@ class TestGracefulDegradation:
         for handle in sharded.handles:
             handle.breaker.force_open()
         with pytest.raises(CircuitOpen) as excinfo:
-            sharded.nearest(queries[0], k=2)
+            sharded.query(Query("knn", queries[0].items(), k=2))
         assert excinfo.value.retry_after >= 0.0
 
     def test_all_shards_dead_raises_unavailable(self, sharded, queries):
         for handle in sharded.handles:
             handle.worker.kill()
         with pytest.raises(ShardUnavailable):
-            sharded.containment_query(queries[0])
+            sharded.query(Query("containment", queries[0].items()))
 
     def test_coverage_dict_shape(self):
         coverage = Coverage(total=4, answered=3, errors={2: "boom"})
@@ -204,7 +213,9 @@ class TestPartialSubsetProperty:
                     handles[shard_id].worker.kill()
                 q = random_signature(rng, N_BITS, max_items=12)
                 epsilon = float(rng.uniform(0.1, 0.8))
-                merged, coverage = sharded.range_query(q, epsilon)
+                merged, coverage = sharded.query(
+                    Query("range", q.items(), epsilon=epsilon)
+                )
                 assert coverage.total == N_SHARDS
                 assert coverage.answered == N_SHARDS - n_dead
                 assert coverage.partial == (n_dead > 0)
@@ -228,7 +239,7 @@ class TestShardedQueryService:
         service.close()
 
     def test_served_query_carries_coverage(self, service, queries):
-        served = service.knn(list(queries[0].items()), k=3)
+        served = service.query(Query("knn", queries[0].items(), k=3))
         assert served.coverage["shards_total"] == N_SHARDS
         assert served.partial is False
 
@@ -264,9 +275,11 @@ class TestShardedQueryService:
         monkeypatch.setattr(ShardHandle, "call", counting)
         items = list(queries[0].items())
         with pytest.raises(ValueError, match="unknown metric"):
-            service.knn(items, k=3, metric="nonsense")
+            service.query(Query("knn", items, k=3, metric="nonsense"))
         with pytest.raises(ValueError, match="unknown metric"):
-            service.range(items, 0.5, metric="nonsense")
+            service.query(
+                Query("range", items, epsilon=0.5, metric="nonsense")
+            )
         # Every shard was asked exactly once per request: no retry.
         assert sorted(calls) == sorted(2 * list(range(N_SHARDS)))
         assert service.health()["ready"]  # a client error trips no breaker
@@ -274,15 +287,15 @@ class TestShardedQueryService:
     def test_invalid_k_runs_the_coordinator_once(self, service, queries,
                                                  monkeypatch):
         calls = []
-        original = ShardedTree.nearest
+        original = ShardedTree.query
 
-        def counting(self, *args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return original(self, *args, **kwargs)
+        def counting(self, query, *args, **kwargs):
+            calls.append(query.k)
+            return original(self, query, *args, **kwargs)
 
-        monkeypatch.setattr(ShardedTree, "nearest", counting)
+        monkeypatch.setattr(ShardedTree, "query", counting)
         with pytest.raises(ValueError, match="k must be"):
-            service.knn(list(queries[0].items()), k=0)
+            service.query(Query("knn", queries[0].items(), k=0))
         assert calls == [0]
 
     def test_reload_is_rejected(self, service):
@@ -309,7 +322,7 @@ class TestShardedQueryService:
         )
         try:
             handles[0].worker.kill()
-            served = service.knn(list(queries[0].items()), k=2)
+            served = service.query(Query("knn", queries[0].items(), k=2))
             assert served.partial
             sample = telemetry.server_partial_total.labels(route="knn")
             assert sample.value == 1
@@ -336,7 +349,7 @@ class TestProcessWorkers:
         reference = SGTree(N_BITS, max_entries=8)
         reference.insert_many(txs)
         q = txs[5].signature
-        merged, coverage = sharded.nearest(q, k=4)
+        merged, coverage = sharded.query(Query("knn", q.items(), k=4))
         expected = reference.nearest(q, k=4)
         assert {(n.tid, n.distance) for n in merged} == \
             {(n.tid, n.distance) for n in expected}
@@ -348,11 +361,11 @@ class TestProcessWorkers:
         victim.worker.kill()
         q = txs[0].signature
         started = time.monotonic()
-        merged, coverage = sharded.nearest(q, k=3)
+        merged, coverage = sharded.query(Query("knn", q.items(), k=3))
         # Fails fast (receiver EOF / liveness poll), not via a long timeout.
         assert time.monotonic() - started < 5.0
         assert coverage.partial and victim.shard_id in coverage.errors
         victim.restart()
         assert victim.probe(timeout=10.0) is not None
-        merged, coverage = sharded.nearest(q, k=3)
+        merged, coverage = sharded.query(Query("knn", q.items(), k=3))
         assert not coverage.partial

@@ -9,6 +9,7 @@ import pytest
 from repro.server import (
     Backoff,
     CircuitBreaker,
+    Query,
     ShardedTree,
     ShardSupervisor,
     make_shard_handles,
@@ -133,10 +134,10 @@ class TestSupervision:
             transactions = random_transactions(seed=9, count=60, n_bits=N_BITS)
             q = transactions[7].signature
             handles[0].worker.kill()
-            _, coverage = sharded.nearest(q, k=3)
+            _, coverage = sharded.query(Query("knn", q.items(), k=3))
             assert coverage.partial
             supervisor.check_once()
-            _, coverage = sharded.nearest(q, k=3)
+            _, coverage = sharded.query(Query("knn", q.items(), k=3))
             assert not coverage.partial
         finally:
             sharded.close()

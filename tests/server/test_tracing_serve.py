@@ -20,6 +20,7 @@ import pytest
 from repro import SGTree
 from repro.server import (
     Backoff,
+    Query,
     QueryService,
     RetryPolicy,
     ShardedQueryService,
@@ -106,7 +107,7 @@ class TestSingleTreeTracing:
     def test_sampled_knn_attaches_local_visits_as_shard_zero(self, single,
                                                              query):
         service, _ = single
-        served = service.knn(query, k=3)
+        served = service.query(Query("knn", query.items(), k=3))
         assert served.trace_id
         doc = service.trace(served.trace_id)
         assert doc is not None
@@ -123,7 +124,9 @@ class TestSingleTreeTracing:
         # as SGTree.explain): no shard attach, but the coordinator trace
         # is still complete and retained.
         service, _ = single
-        served = service.knn(query, k=3, algorithm="best-first")
+        served = service.query(
+            Query("knn", query.items(), k=3, algorithm="best-first")
+        )
         doc = service.trace(served.trace_id)
         assert doc["shards"] == {}
         assert doc["stitch"]["ok"]
@@ -135,7 +138,7 @@ class TestSingleTreeTracing:
             tree, tracing=RequestTracing(sample_rate=0.0)
         )
         try:
-            served = service.knn(query, k=2)
+            served = service.query(Query("knn", query.items(), k=2))
             assert served.trace_id  # ids are free; retention is not
             assert service.trace(served.trace_id) is None
             assert service.traces() == []
@@ -144,7 +147,9 @@ class TestSingleTreeTracing:
 
     def test_inbound_request_id_keys_the_trace(self, single, query):
         service, _ = single
-        served = service.knn(query, k=2, request_id="order-lookup-42")
+        served = service.query(
+            Query("knn", query.items(), k=2), request_id="order-lookup-42"
+        )
         assert served.trace_id == "order-lookup-42"
         assert service.trace("order-lookup-42")["trace_id"] == \
             "order-lookup-42"
@@ -152,7 +157,7 @@ class TestSingleTreeTracing:
 
 class TestShardedStitching:
     def test_full_sampling_stitches_every_shard(self, sharded, query):
-        served = sharded.knn(list(query.items()), k=5)
+        served = sharded.query(Query("knn", query.items(), k=5))
         doc = sharded.trace(served.trace_id)
         assert set(doc["shards"]) == {str(i) for i in range(N_SHARDS)}
         assert all(d["reconciled"] is True for d in doc["shards"].values())
@@ -167,7 +172,7 @@ class TestShardedStitching:
         assert rpc_outcomes == {i: "ok" for i in range(N_SHARDS)}
 
     def test_summed_shard_spans_equal_aggregate_stats(self, sharded, query):
-        served = sharded.knn(list(query.items()), k=3)
+        served = sharded.query(Query("knn", query.items(), k=3))
         doc = sharded.trace(served.trace_id)
         total = sum(len(d["spans"]) for d in doc["shards"].values())
         assert total == doc["stats"]["node_accesses"]
@@ -186,7 +191,7 @@ class TestFailurePathTracing:
                                                          query):
         victim = sharded.shards.handles[2]
         victim.worker.kill()
-        served = sharded.knn(list(query.items()), k=3)
+        served = sharded.query(Query("knn", query.items(), k=3))
         assert served.partial
         doc = sharded.trace(served.trace_id)
         victim_rpcs = [s for s in doc["spans"]
@@ -204,7 +209,7 @@ class TestFailurePathTracing:
     def test_open_breaker_records_zero_duration_rpc_span(self, sharded,
                                                          query):
         sharded.shards.handles[1].breaker.force_open()
-        served = sharded.knn(list(query.items()), k=3)
+        served = sharded.query(Query("knn", query.items(), k=3))
         assert served.partial
         doc = sharded.trace(served.trace_id)
         (rejected,) = [s for s in doc["spans"]
@@ -217,7 +222,7 @@ class TestFailurePathTracing:
         self, sharded, query
     ):
         sharded.shards.handles[0].worker.kill()
-        served = sharded.knn(list(query.items()), k=5)
+        served = sharded.query(Query("knn", query.items(), k=5))
         doc = sharded.trace(served.trace_id)
         assert doc["partial"] is True
         assert doc["coverage"]["shards_answered"] == N_SHARDS - 1
@@ -234,10 +239,10 @@ class TestFailurePathTracing:
                                                           query):
         service = make_sharded(transactions, sample_rate=0.0)
         try:
-            ok = service.knn(list(query.items()), k=2)
+            ok = service.query(Query("knn", query.items(), k=2))
             assert service.trace(ok.trace_id) is None  # healthy: dropped
             service.shards.handles[3].worker.kill()
-            partial = service.knn(list(query.items()), k=2)
+            partial = service.query(Query("knn", query.items(), k=2))
             doc = service.trace(partial.trace_id)
             assert doc is not None and doc["partial"] is True
             assert doc["shards"] == {}  # unsampled: no per-node spans
@@ -247,7 +252,7 @@ class TestFailurePathTracing:
 
 class TestAccessEventsAndExemplars:
     def test_every_request_emits_http_access(self, sharded, query):
-        served = sharded.knn(list(query.items()), k=3)
+        served = sharded.query(Query("knn", query.items(), k=3))
         (event,) = sharded.event_sink.of_type("http_access")
         assert event["trace_id"] == served.trace_id
         assert event["route"] == "knn" and event["code"] == "200"
@@ -259,7 +264,7 @@ class TestAccessEventsAndExemplars:
         service = make_sharded(transactions, sample_rate=0.0,
                                slow_threshold=0.0)
         try:
-            service.knn(list(query.items()), k=3)
+            service.query(Query("knn", query.items(), k=3))
             (event,) = service.event_sink.of_type("slow_query")
             assert event["threshold_seconds"] == 0.0
             assert 1 <= len(event["top_spans"]) <= 3
@@ -270,7 +275,7 @@ class TestAccessEventsAndExemplars:
 
     def test_request_histogram_carries_trace_id_exemplars(self, sharded,
                                                           query):
-        served = sharded.knn(list(query.items()), k=3)
+        served = sharded.query(Query("knn", query.items(), k=3))
         doc = snapshot(sharded.telemetry.registry)
         series = doc["sgtree_server_request_seconds"]["series"]["knn"]
         exemplars = series["exemplars"]

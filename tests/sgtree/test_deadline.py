@@ -36,6 +36,13 @@ class TestDeadline:
         with pytest.raises(ValueError, match="budget"):
             Deadline.after(-0.1)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_after_non_finite_budget_rejected(self, budget):
+        # A NaN budget would otherwise never expire (every comparison
+        # with it is false), escaping the server's default deadline.
+        with pytest.raises(ValueError, match="finite"):
+            Deadline.after(budget)
+
     def test_expired_and_remaining(self):
         generous = Deadline.after(60.0)
         assert not generous.expired()
