@@ -31,6 +31,12 @@ root:
    and results must be bit-identical within each pinned
    ``tree_generation``; once the readers drain the epoch reclaimer
    must free every superseded page.
+6. **Keep-alive vs connection-per-request** — 1 and 4 closed-loop
+   clients query a single tree, once over one persistent
+   :mod:`http.client` connection per client and once over a fresh
+   connection per request; QPS and p50/p99 for each.  A persistent
+   connection must not be slower than a fresh one: p50 within
+   ``max(2 x per-request p50, 5 ms)``.
 
 Runnable standalone (``python benchmarks/bench_serve_load.py``) or via
 pytest; the CI serve-smoke job runs the pytest form and gates on the
@@ -40,6 +46,7 @@ acceptance assertions above.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import pathlib
 import threading
@@ -342,11 +349,91 @@ def bench_kill_shard(tree, queries, seconds: float = 1.2) -> dict:
     }
 
 
-def _p99(latencies: list) -> float:
+def _quantile(latencies: list, q: float) -> float:
     if not latencies:
         return 0.0
     ordered = sorted(latencies)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def _p99(latencies: list) -> float:
+    return _quantile(latencies, 0.99)
+
+
+def bench_keep_alive(tree, queries, seconds: float = 0.5) -> dict:
+    """Closed-loop kNN over persistent vs per-request connections.
+
+    For 1 and 4 clients, each client runs for ``seconds`` either on one
+    keep-alive :class:`http.client.HTTPConnection` or on a fresh
+    connection per request.  Gate (asserted by :class:`TestServeLoad`
+    and CI): persistent p50 <= ``max(2 x per-request p50, 5 ms)``.
+    """
+    server, _service, base = _served(tree, max_inflight=8, max_queue=64)
+    port = server.server_address[1]
+
+    def run(n_clients: int, persistent: bool) -> dict:
+        stop = threading.Event()
+        lock = threading.Lock()
+        latencies: list = []
+        failed = [0]
+
+        def client(offset: int):
+            conn = None
+            i = 0
+            while not stop.is_set():
+                if conn is None:
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", port, timeout=30
+                    )
+                body = json.dumps(
+                    {"items": queries[(offset + i) % len(queries)], "k": K}
+                )
+                started = time.perf_counter()
+                conn.request("POST", "/query/knn", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                elapsed = time.perf_counter() - started
+                if not persistent:
+                    conn.close()
+                    conn = None
+                with lock:
+                    if resp.status == 200:
+                        latencies.append(elapsed)
+                    else:
+                        failed[0] += 1
+                i += 1
+            if conn is not None:
+                conn.close()
+
+        threads = [threading.Thread(target=client, args=(j,))
+                   for j in range(n_clients)]
+        started = time.perf_counter()
+        for t in threads:
+            t.start()
+        time.sleep(seconds)
+        stop.set()
+        for t in threads:
+            t.join(timeout=60)
+        wall = time.perf_counter() - started
+        return {
+            "requests": len(latencies),
+            "failed": failed[0],
+            "qps": len(latencies) / wall,
+            "p50_ms": _quantile(latencies, 0.5) * 1e3,
+            "p99_ms": _p99(latencies) * 1e3,
+        }
+
+    try:
+        return {
+            f"clients_{n}": {
+                "persistent": run(n, persistent=True),
+                "per_request": run(n, persistent=False),
+            }
+            for n in (1, 4)
+        }
+    finally:
+        server.close()
 
 
 def bench_concurrent_writer(workload, queries, n_publishes: int = 12,
@@ -514,6 +601,8 @@ def run_benchmark(tmp_dir: "pathlib.Path | None" = None) -> dict:
         replacement_workload, query_items
     )
 
+    keep_alive = bench_keep_alive(tree, query_items)
+
     return {
         "benchmark": "serve_load",
         "workload": workload.name,
@@ -523,6 +612,7 @@ def run_benchmark(tmp_dir: "pathlib.Path | None" = None) -> dict:
         "hot_swap": hot_swap,
         "kill_shard": kill_shard,
         "concurrent_writer": concurrent_writer,
+        "keep_alive": keep_alive,
     }
 
 
@@ -558,6 +648,14 @@ def _summarise(doc: dict) -> str:
         f"{writer['p99_read_only_seconds'] * 1e3:.1f}ms read-only, "
         f"{writer['identity_mismatches']} identity mismatches across "
         f"{writer['identity_groups']} (query, generation) groups",
+        *(
+            f"  {clients.replace('_', ' ')}: keep-alive "
+            f"{row['persistent']['qps']:.0f} qps, p50 "
+            f"{row['persistent']['p50_ms']:.2f}ms vs per-request "
+            f"{row['per_request']['qps']:.0f} qps, p50 "
+            f"{row['per_request']['p50_ms']:.2f}ms"
+            for clients, row in doc["keep_alive"].items()
+        ),
     ])
 
 
@@ -616,11 +714,18 @@ class TestServeLoad:
         assert writer["reclaim_drained"]
         assert writer["reclaim_pending_after_drain"] == 0
 
+    def test_keep_alive_not_slower_than_per_request(self, results):
+        for row in results["keep_alive"].values():
+            persistent, per_request = row["persistent"], row["per_request"]
+            assert persistent["failed"] == per_request["failed"] == 0
+            assert persistent["requests"] > 0 and per_request["requests"] > 0
+            assert persistent["p50_ms"] <= max(2 * per_request["p50_ms"], 5.0)
+
     def test_json_well_formed(self, results):
         doc = json.loads(DEFAULT_OUT.read_text())
         assert doc["benchmark"] == "serve_load"
         for key in ("admission", "deadline", "hot_swap", "kill_shard",
-                    "concurrent_writer"):
+                    "concurrent_writer", "keep_alive"):
             assert key in doc
 
 

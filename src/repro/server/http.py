@@ -41,6 +41,10 @@ id is generated otherwise.  The id is echoed back as ``X-Request-Id`` on
 the response and as ``request_id`` in query payloads, and it is the key
 into ``/debug/traces/<id>`` (see ``docs/observability.md``).
 
+Connections are HTTP/1.1 keep-alive.  Each response is buffered and
+flushed in one write on a ``TCP_NODELAY`` socket, and a connection whose
+read or write stalls for :data:`READ_TIMEOUT_SECONDS` is closed.
+
 On SIGTERM/SIGINT the CLI loop (:func:`serve_forever`) shuts down
 gracefully: the listener closes first, in-flight requests drain up to
 ``--drain-timeout`` seconds, then the process exits 0.
@@ -63,6 +67,11 @@ __all__ = ["ServingHTTPServer", "make_server", "serve_forever"]
 
 #: Request-body size cap; a query body past this is certainly malformed.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Socket timeout on an accepted connection, in seconds.  A read or write
+#: that stalls this long (a body that never arrives, an idle keep-alive
+#: connection) closes the connection and frees its handler thread.
+READ_TIMEOUT_SECONDS = 60.0
 
 
 def _stats_payload(stats: SearchStats) -> dict:
@@ -118,6 +127,14 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: "ServingHTTPServer"
 
+    # A buffered ``wfile`` that ``handle_one_request`` flushes once per
+    # request: status line, headers and body leave in one write (bodies
+    # past the 8 KiB buffer follow the headers back to back).  With Nagle
+    # off, no segment waits for the client's delayed ACK on keep-alive.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    timeout = READ_TIMEOUT_SECONDS
+
     #: The request's correlation id (inbound ``X-Request-Id``, sanitised,
     #: or freshly generated); echoed on every JSON response.
     _request_id: "str | None" = None
@@ -130,11 +147,19 @@ class _Handler(BaseHTTPRequestHandler):
         # benchmark output.
         pass
 
-    def _send_json(self, code: int, payload: dict,
-                   headers: "dict[str, str] | None" = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def handle_expect_100(self) -> bool:
+        # The interim 100 reply must reach the client before it sends the
+        # body, so it cannot wait in the buffered writer for the flush at
+        # the end of the request.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _send(self, code: int, body: bytes, content_type: str,
+              headers: "dict[str, str] | None" = None) -> None:
+        """Queue one complete response in the buffered ``wfile``."""
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self._request_id is not None:
             self.send_header("X-Request-Id", self._request_id)
@@ -143,13 +168,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, code: int, payload: dict,
+                   headers: "dict[str, str] | None" = None) -> None:
+        self._send(code, json.dumps(payload).encode("utf-8"),
+                   "application/json", headers)
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -176,9 +198,8 @@ class _Handler(BaseHTTPRequestHandler):
             doc = service.health()
             self._send_json(200 if doc["ready"] else 503, doc)
         elif self.path == "/metrics":
-            self._send_text(
-                200, service.metrics_text(), "text/plain; version=0.0.4"
-            )
+            self._send(200, service.metrics_text().encode("utf-8"),
+                       "text/plain; version=0.0.4")
         elif self.path == "/debug/traces":
             summaries = service.traces()
             if summaries is None:

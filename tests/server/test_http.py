@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro import SGTree
 from repro.data.io import save_transactions
+from repro.errors import CircuitOpen
 from repro.server import (
     QueryService,
     ShardedQueryService,
@@ -19,6 +25,8 @@ from repro.server import (
     make_shard_handles,
     partition_transactions,
 )
+from repro.server import http as http_module
+from repro.server.service import RequestShed
 from repro.sgtree.persistence import save_tree
 from repro.telemetry import EventLog, MemoryEventSink, MetricsRegistry, Telemetry
 from support import random_transactions
@@ -334,3 +342,164 @@ class TestConcurrentClients:
         assert errors == []
         assert counts["ok"] > 0
         assert json.loads(get(f"{base}/healthz")[1])["transactions"] == 160
+
+
+def connect(base: str) -> http.client.HTTPConnection:
+    """One persistent (keep-alive) client connection to ``base``."""
+    url = urllib.parse.urlsplit(base)
+    return http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+
+
+def exchange(conn: http.client.HTTPConnection, path: str, body: dict):
+    """One POST on ``conn``; returns (status, headers, decoded body)."""
+    conn.request("POST", path, body=json.dumps(body),
+                 headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    return resp.status, resp.headers, json.loads(resp.read())
+
+
+def raw_socket(base: str) -> socket.socket:
+    url = urllib.parse.urlsplit(base)
+    return socket.create_connection((url.hostname, url.port), timeout=10)
+
+
+def read_to_close(sock: socket.socket) -> bytes:
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def raw_exchange(base: str, request: bytes) -> bytes:
+    """Send raw bytes on a fresh socket; read until the server closes."""
+    with raw_socket(base) as sock:
+        sock.sendall(request)
+        return read_to_close(sock)
+
+
+def split_response(raw: bytes) -> "tuple[int, dict[str, str], bytes]":
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body
+
+
+class TestConnections:
+    """Keep-alive connections: one buffered write per response, Nagle
+    off, and a bounded read timeout."""
+
+    @staticmethod
+    def keep_alive_median_ms(base: str, n: int = 20) -> float:
+        conn = connect(base)
+        latencies = []
+        try:
+            for i in range(n):
+                started = time.perf_counter()
+                status, _, _ = exchange(
+                    conn, "/query/knn", {"items": [i % N_BITS, 7], "k": 3}
+                )
+                latencies.append((time.perf_counter() - started) * 1e3)
+                assert status == 200
+        finally:
+            conn.close()
+        return statistics.median(latencies)
+
+    def test_keep_alive_does_not_stall_single_tree(self, served):
+        # A header write and a body write on a Nagle socket stall each
+        # keep-alive response ~40 ms on the client's delayed ACK.
+        assert self.keep_alive_median_ms(served[0]) < 20.0
+
+    def test_keep_alive_does_not_stall_shards(self, sharded_served):
+        assert self.keep_alive_median_ms(sharded_served) < 20.0
+
+    def test_truncated_body_closes_connection(self, served, monkeypatch):
+        base, _, _ = served
+        assert http_module._Handler.timeout == http_module.READ_TIMEOUT_SECONDS
+        monkeypatch.setattr(http_module._Handler, "timeout", 0.5)
+        with raw_socket(base) as sock:
+            sock.sendall(
+                b"POST /query/knn HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"items": '
+            )
+            started = time.monotonic()
+            assert sock.recv(1024) == b""  # closed, no response
+            assert time.monotonic() - started < 5.0
+        # The server still answers the next client.
+        assert post(f"{base}/query/knn", {"items": [1, 7], "k": 2})[0] == 200
+
+    def test_expect_continue_is_answered_before_the_body(self, served):
+        base, _, _ = served
+        body = json.dumps({"items": [1, 7, 42], "k": 3}).encode()
+        with raw_socket(base) as sock:
+            sock.sendall(
+                b"POST /query/knn HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\nExpect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            sock.settimeout(2.0)
+            assert sock.recv(1024).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            sock.settimeout(10.0)
+            status, _, payload = split_response(read_to_close(sock))
+        assert status == 200 and len(json.loads(payload)["results"]) == 3
+
+    def test_malformed_request_line_error_arrives_complete(self, served):
+        # The stdlib cannot tell the version of a broken request line, so
+        # it answers HTTP/0.9-style: the bare error page, then close.
+        raw = raw_exchange(served[0], b"GET /healthz HTTP/1.1 extra\r\n\r\n")
+        assert raw.startswith(b"<!DOCTYPE HTML>")
+        assert b"Error code: 400" in raw and raw.endswith(b"</html>\n")
+
+    def test_unsupported_method_error_arrives_complete(self, served):
+        status, headers, body = split_response(raw_exchange(
+            served[0], b"PUT /query/knn HTTP/1.1\r\nHost: x\r\n\r\n"
+        ))
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert len(body) == int(headers["content-length"]) > 0
+
+    def test_connection_survives_a_400(self, served):
+        conn = connect(served[0])
+        try:
+            status, _, doc = exchange(conn, "/query/knn", {"wrong": True})
+            assert status == 400 and doc["error"].startswith("bad request")
+            status, _, doc = exchange(
+                conn, "/query/knn", {"items": [1, 7], "k": 2}
+            )
+            assert status == 200 and len(doc["results"]) == 2
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("error, code, retry_after", [
+        pytest.param(RequestShed(waiting=8, inflight=4), 429, None,
+                     id="shed-429"),
+        pytest.param(CircuitOpen("all breakers open", retry_after=2.4), 503,
+                     "2", id="breaker-503"),
+    ])
+    def test_retry_responses_arrive_complete(
+        self, served, monkeypatch, error, code, retry_after
+    ):
+        base, service, _ = served
+        original = service.query
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(service, "query", refuse)
+        conn = connect(base)
+        try:
+            status, headers, doc = exchange(
+                conn, "/query/knn", {"items": [1, 7], "k": 2}
+            )
+            assert status == code and doc["retry"] is True
+            assert headers.get("Retry-After") == retry_after
+            monkeypatch.setattr(service, "query", original)
+            status, _, _ = exchange(
+                conn, "/query/knn", {"items": [1, 7], "k": 2}
+            )
+            assert status == 200
+        finally:
+            conn.close()
