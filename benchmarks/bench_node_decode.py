@@ -1,15 +1,16 @@
 """Node decode cost: cold parse vs cached zero-copy view.
 
-The decoded-node arena turns a node access into a slice view instead of
-a parse.  This benchmark measures what that buys on the batched k-NN
-workload of ``bench_batch_throughput`` (T10.I6, hamming, k=10):
+A node keeps its decoded view while it stays in the buffer, so a node
+access is a slice view instead of a parse.  This benchmark measures what
+that buys on the batched k-NN workload of ``bench_batch_throughput``
+(T10.I6, hamming, k=10):
 
 * ``sequential`` / ``batched`` — the warm sim-mode engines, as a QPS
   anchor.  The acceptance gate compares the batched row against the
-  *committed* pre-arena baseline in ``BENCH_batch_throughput.json``.
-* ``disk_cold`` — a disk-mode reopen of the same index with every cache
+  *committed* pre-view baseline in ``BENCH_batch_throughput.json``.
+* ``disk_cold`` — a disk-mode reopen of the same index with the buffer
   dropped before the pass: each visit pays a real page read + decode.
-* ``disk_warm`` — the same pass again with the arena hot: decode calls
+* ``disk_warm`` — the same pass again with the buffer hot: decode calls
   per query must fall below 1 (visits are served views, not parses).
 
 Writes ``BENCH_node_decode.json`` at the repo root.  The CI smoke job
@@ -42,8 +43,8 @@ K = 10
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_node_decode.json"
 
-#: batched QPS committed in BENCH_batch_throughput.json before the
-#: decoded-node arena landed; the arena must at least double it.
+#: batched QPS committed in BENCH_batch_throughput.json before decoded
+#: node views landed; the views must at least double it.
 COMMITTED_BATCHED_QPS = 5039.3466675808895
 
 
@@ -123,7 +124,7 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
         store = disk.store
         try:
             def cold(stats):
-                store.clear_cache()  # drop buffer AND arena: pay the parse
+                store.clear_cache()  # drop buffer and views: pay the parse
                 return disk.batch_nearest(batch, k=k, stats=stats)
 
             cold_results, cold_row = measure(cold, store, "disk_cold",
@@ -134,8 +135,6 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
                 lambda stats: disk.batch_nearest(batch, k=k, stats=stats),
                 store, "disk_warm", batch_size=BATCH_SIZE,
             )
-            arena_entries = store.decode_cache.entries
-            arena_bytes = store.decode_cache.nbytes
         finally:
             store.pager.close()
 
@@ -157,8 +156,6 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
             bat_row["qps"] / COMMITTED_BATCHED_QPS,
         "speedup_warm_vs_cold_decode":
             warm_row["qps"] / cold_row["qps"] if cold_row["qps"] else 0.0,
-        "warm_arena_entries": arena_entries,
-        "warm_arena_bytes": arena_bytes,
     }
 
 
@@ -174,7 +171,7 @@ def _summarise(doc: dict) -> str:
         lines.append(
             f"  {row['label']:<10} {row['qps']:>10.0f} q/s   "
             f"{row['decode_calls_per_query']:>7.3f} decodes/query   "
-            f"arena hit ratio "
+            f"view reuse ratio "
             f"{'n/a' if ratio is None else format(ratio, '.2f')}"
         )
     lines.append(
@@ -184,9 +181,7 @@ def _summarise(doc: dict) -> str:
     )
     lines.append(
         f"  warm view vs cold decode: "
-        f"{doc['speedup_warm_vs_cold_decode']:.1f}x  "
-        f"(arena: {doc['warm_arena_entries']} entries, "
-        f"{doc['warm_arena_bytes'] / 1024:.0f} KiB)"
+        f"{doc['speedup_warm_vs_cold_decode']:.1f}x"
     )
     return "\n".join(lines)
 
@@ -239,7 +234,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("-k", type=int, default=K)
     parser.add_argument("--min-batched-speedup", type=float, default=2.0,
                         help="fail when batched QPS is below this multiple "
-                             "of the committed pre-arena baseline (0 "
+                             "of the committed pre-view baseline (0 "
                              "disables; CI smoke runs use 0 — wall-clock "
                              "ratios are unreliable on tiny scaled "
                              "workloads)")

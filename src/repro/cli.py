@@ -53,21 +53,6 @@ from .sgtree.tree import SGTree
 __all__ = ["main", "build_parser"]
 
 
-def _decode_cache_entries(value: str) -> "int | None | str":
-    """argparse type for ``--decode-cache-entries``: int, 'auto' or 'none'."""
-    lowered = value.strip().lower()
-    if lowered == "auto":
-        return "auto"
-    if lowered in ("none", "unbounded"):
-        return None
-    try:
-        return int(lowered)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, 'auto' or 'none', got {value!r}"
-        ) from None
-
-
 def _initial_threshold(value: str) -> float:
     """argparse type for ``--initial-threshold``: finite-or-inf, >= 0."""
     try:
@@ -156,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="count (not retrieve) transactions within EPS")
     mode.add_argument("--contains", action="store_true",
                       help="transactions containing all query items")
-    query.add_argument("--decode-cache-entries", type=_decode_cache_entries,
-                       default="auto", metavar="N|auto|none",
-                       help="decoded-node arena budget in entries: an "
-                            "integer, 'auto' (size to the buffer), or "
-                            "'none' (unbounded); 0 disables the cache")
     query.add_argument("--metric", default="hamming",
                        choices=["hamming", "jaccard", "dice", "overlap", "cosine"])
     query.add_argument("--best-first", action="store_true",
@@ -275,11 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node visits between a shard's mid-flight "
                             "bound reports (default 16; smaller = tighter "
                             "pruning, more coordination traffic)")
-    serve.add_argument("--decode-cache-entries", type=_decode_cache_entries,
-                       default="auto", metavar="N|auto|none",
-                       help="decoded-node arena budget in entries: an "
-                            "integer, 'auto' (size to the buffer), or "
-                            "'none' (unbounded); 0 disables the cache")
     serve.add_argument("--drain-timeout", type=float, default=5.0,
                        help="seconds to drain in-flight requests on "
                             "SIGTERM/SIGINT before exiting (default 5)")
@@ -492,7 +467,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         or args.count_epsilon is not None
     ):
         raise SystemExit("--initial-threshold applies to --knn queries only")
-    tree = load_tree(args.index, decode_cache_entries=args.decode_cache_entries)
+    tree = load_tree(args.index)
     try:
         if args.batch is not None:
             return _run_batch_query(tree, args)
@@ -699,7 +674,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             sink=JsonlTraceSink(args.traces_out) if args.traces_out else None,
         )
-    tree = load_tree(args.index, decode_cache_entries=args.decode_cache_entries)
+    tree = load_tree(args.index)
     default_deadline = (
         args.deadline_ms / 1e3 if args.deadline_ms is not None else None
     )

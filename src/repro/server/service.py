@@ -86,24 +86,11 @@ def _stats_doc(stats: SearchStats) -> dict:
     }
 
 
-def _store_health(store) -> dict:
-    """Decode-cache generation + counters for a ``/healthz`` row.
-
-    Lets an operator spot a tree serving a stale arena generation after
-    ``/admin/reload`` (the swap bumps the generation; a shard whose
-    number did not move is still decoding old pages).
-    """
-    cache = store.decode_cache
-    return {
-        "generation": store.generation,
-        "decode_cache": {
-            "hits": cache.stats.hits,
-            "misses": cache.stats.misses,
-            "evictions": cache.stats.evictions,
-            "entries": cache.entries,
-            "max_entries": cache.max_entries,
-        },
-    }
+def _decode_cache_health(store) -> dict:
+    """Node-view reuse counters for a ``/healthz`` row: ``hits`` are
+    reads that reused a node's view, ``misses`` reads that built one."""
+    stats = store.decode_cache.stats
+    return {"hits": stats.hits, "misses": stats.misses}
 
 
 class RequestShed(ReproError):
@@ -273,16 +260,13 @@ class QueryService:
 
     def _health_extra(self) -> dict:
         """Backend-specific ``/healthz`` fields (overridden when sharded)."""
-        health = _store_health(self._tree.tree.store)
         return {
             "transactions": len(self._tree),
             "n_bits": self._tree.n_bits,
-            # "generation" above counts reloads; the arena generation of
-            # the served store travels under its own key, and the
-            # copy-on-write publish/reclamation state under "snapshot"
-            # (see docs/concurrency.md).
-            "tree_generation": health["generation"],
-            "decode_cache": health["decode_cache"],
+            # "generation" above counts reloads; the copy-on-write
+            # publish/reclamation state travels under "snapshot" (see
+            # docs/concurrency.md).
+            "decode_cache": _decode_cache_health(self._tree.tree.store),
             "snapshot": {
                 "generation": self._tree.generation,
                 "publishes": self._tree.publishes,

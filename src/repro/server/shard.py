@@ -40,7 +40,7 @@ supervisor restart rebuilds the shard's tree and is, from the
 coordinator's view, an atomic whole-tree publish: the same
 replace-then-retire shape as a copy-on-write snapshot publish on a
 single-tree service (see ``docs/concurrency.md``), surfaced to probes
-as a new worker ``generation``/``tree_generation``.
+as a new worker ``generation``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from ..telemetry.tracing import TraceContext
 from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
 from .query import Query
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
-from .service import QueryService, ServedQuery, _stats_doc, _store_health
+from .service import QueryService, ServedQuery, _decode_cache_health, _stats_doc
 
 __all__ = [
     "partition_transactions",
@@ -278,11 +278,9 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
     """
     try:
         if request["op"] == "ping":
-            health = _store_health(tree.store)
             return {
                 "ok": True, "transactions": len(tree), "n_bits": tree.n_bits,
-                "tree_generation": health["generation"],
-                "decode_cache": health["decode_cache"],
+                "decode_cache": _decode_cache_health(tree.store),
             }
         budget = request.get("budget")
         deadline = Deadline.after(max(0.0, budget)) if budget is not None else None
@@ -642,7 +640,6 @@ class ShardHandle:
         self.incarnation = 0
         self.state = "up"
         self.transactions: "int | None" = None
-        self.tree_generation: "int | None" = None
         self.decode_cache: "dict | None" = None
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
@@ -841,7 +838,6 @@ class ShardHandle:
             if response is not None:
                 if response.get("ok"):
                     self.transactions = response.get("transactions")
-                    self.tree_generation = response.get("tree_generation")
                     self.decode_cache = response.get("decode_cache")
                     return response
                 return None
@@ -889,7 +885,6 @@ class ShardHandle:
             "restarts": self.restarts,
             "generation": self.incarnation,
             "transactions": self.transactions,
-            "tree_generation": self.tree_generation,
             "decode_cache": self.decode_cache,
         }
 

@@ -360,13 +360,6 @@ class ConcurrentSGTree:
         (:func:`~repro.sgtree.persistence.recover_tree`) and swap it in,
         so readers never observe a half-recovered index.
 
-        The old store's arena generation is retired immediately: its
-        decoded-node views are dropped wholesale (releasing the arena
-        memory), and no later read can be served a view decoded before
-        the swap — stragglers still pinned to the old snapshot re-decode
-        under the old store's *new* arena generation, which is correct
-        (pages themselves are immutable) just no longer pre-warmed.
-
         ``on_retire``, when given, is called with the old tree only
         after the last reader pinned to it drains — the hook for closing
         its pager without yanking pages from under live traversals.
@@ -376,7 +369,6 @@ class ConcurrentSGTree:
             self._serial_reads = self._serial_reads or tree.store.mode == "disk"
             generation = self._published.generation + 1
             epoch = self._epochs.advance(generation)
-            old.store.bump_generation()
             if on_retire is not None:
                 self._epochs.defer(lambda: on_retire(old))
             self._published = self._make_snapshot(tree, generation, epoch)

@@ -39,7 +39,7 @@ import numpy as np
 from ..core import bitops
 from ..core.signature import Signature
 from ..errors import NodeDecodeError, PageCorruptError
-from ..storage.arena import DecodedNode, DecodedNodeCache, next_generation
+from ..storage.arena import DecodedNode, ViewCounters
 from ..storage.buffer import FIFOPolicy, ClockPolicy, LRUPolicy, ReplacementPolicy
 from ..storage.page import DEFAULT_PAGE_SIZE, Page, PageId
 from ..storage.page import PageNotFoundError
@@ -92,12 +92,14 @@ class Node:
 
     The node lazily maintains a stacked ``(n_entries, n_words)`` matrix of
     its entry signatures so search can evaluate bounds for the whole node
-    in one vectorised expression; any mutation invalidates the cache.
+    in one vectorised expression, and the read-only
+    :class:`~repro.storage.arena.DecodedNode` view over those arrays that
+    :meth:`NodeStore.read` hands to search; any mutation invalidates both.
     """
 
     __slots__ = (
         "page_id", "level", "entries",
-        "_matrix", "_areas", "_refs", "_area_ranges", "_arena_hook",
+        "_matrix", "_areas", "_refs", "_area_ranges", "view",
         "__weakref__",
     )
 
@@ -109,9 +111,8 @@ class Node:
         self._areas: np.ndarray | None = None
         self._refs: np.ndarray | None = None
         self._area_ranges: tuple[np.ndarray, np.ndarray] | None = None
-        # (cache, key) of the arena view sharing this node's arrays, so
-        # invalidation drops both together; None when never viewed.
-        self._arena_hook: tuple[DecodedNodeCache, tuple[int, PageId]] | None = None
+        # read-only view sharing the arrays above; None until first read
+        self.view: DecodedNode | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -236,21 +237,12 @@ class Node:
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop the cached matrix/stats after entry mutation.
-
-        Any arena view sharing these arrays is dropped in the same
-        breath — a mutated node must never be served from a stale
-        decoded view.
-        """
+        """Drop the cached matrix/stats and the view after entry mutation."""
         self._matrix = None
         self._areas = None
         self._refs = None
         self._area_ranges = None
-        hook = self._arena_hook
-        if hook is not None:
-            self._arena_hook = None
-            cache, key = hook
-            cache.discard(key)
+        self.view = None
 
     def find_ref(self, ref: int) -> int | None:
         """Index of the entry pointing at ``ref``, or ``None``."""
@@ -303,7 +295,7 @@ class StoreCounters:
             ("sgtree_node_writes_total",
              "Nodes serialised back to their page", "node_writes"),
             ("sgtree_node_decodes_total",
-             "Node faults that parsed page bytes (vs arena/object reuse)",
+             "Node faults that parsed page bytes (vs node object reuse)",
              "node_decodes"),
         ):
             registry.counter(name, help_text, labelnames).labels(
@@ -476,15 +468,6 @@ class NodeStore:
         mode only), :meth:`commit` makes the state crash-recoverable: it
         forces dirty nodes to the pager and appends the touched page
         images plus a metadata blob to the log.
-    decode_cache_entries:
-        Budget of the decoded-node arena (see
-        :class:`~repro.storage.arena.DecodedNodeCache`), in summed
-        entries.  ``"auto"`` (default) mirrors the frame budget in entry
-        units in disk mode — ``frames × default_capacity()``, so the
-        arena holds roughly the nodes the buffer does — and is unbounded
-        in sim mode (where every node stays in memory regardless) or
-        when ``frames`` is ``None``; ``0`` disables the cache, ``None``
-        is unbounded.
     """
 
     def __init__(
@@ -498,7 +481,6 @@ class NodeStore:
         multipage: bool = False,
         pager: Pager | None = None,
         wal: WriteAheadLog | None = None,
-        decode_cache_entries: "int | None | str" = "auto",
     ):
         if wal is not None and mode != "disk":
             raise ValueError("a write-ahead log requires mode='disk'")
@@ -538,24 +520,8 @@ class NodeStore:
         self.quarantined: set[PageId] = set()
         # populated by repro.sgtree.persistence.recover_tree
         self.last_recovery: RecoveryReport | None = None
-        # decoded-node arena: zero-copy views keyed by (generation, page)
-        if decode_cache_entries == "auto":
-            if frames is None or mode == "sim":
-                # Sim mode counts I/O but never pays it: every node (and
-                # its lazy matrix caches) already lives in ``_all``, so a
-                # bounded arena would only add thrash on a working set
-                # the store keeps resident anyway.
-                budget: int | None = None
-            else:
-                try:
-                    per_node = capacity_for_page(page_size, n_bits, compress)
-                except ValueError:
-                    per_node = 2  # degenerate page/bit-width combination
-                budget = frames * per_node
-        else:
-            budget = decode_cache_entries
-        self._decoded = DecodedNodeCache(max_entries=budget)
-        self._generation = next_generation()
+        # how often read() reused a node's view vs built one
+        self.decode_cache = ViewCounters()
         # active copy-on-write overlay; store calls from its writer
         # thread are routed into the session, every other thread keeps
         # reading the base tables (see ShadowSession)
@@ -590,7 +556,9 @@ class NodeStore:
             "sgtree_buffer_resident_pages",
             "Nodes currently resident in the buffer", labelnames,
         ).labels(**labels).set_function(lambda: len(self._resident))
-        self._decoded.register_metrics(registry, store=name)
+        self.decode_cache.stats.register_metrics(
+            registry, prefix="decode_cache", store=name
+        )
         stats = getattr(self._pager, "stats", None)
         if stats is not None and hasattr(stats, "register_metrics"):
             stats.register_metrics(registry, store=name)
@@ -673,91 +641,22 @@ class NodeStore:
         return node
 
     def read(self, page_id: PageId) -> DecodedNode:
-        """Fetch a node as a read-only decoded view — a slice, not a parse.
+        """Fetch a node as its read-only decoded view — a slice, not a parse.
 
-        The read-side twin of :meth:`get`: search engines consume the
-        arena view (shared arrays, zero copy) instead of the mutable
-        ``Node``.  Accounting: one node access per call, and a random
-        I/O only when the fetch actually pays one — neither the arena
-        nor the buffer holds the node, or (disk mode) the buffer frame
-        is gone and the page bytes must be re-read and checksum-
-        verified.  A sim-mode arena hit is a cache hit wherever the
-        buffer frame went: nothing is re-read and nothing is re-parsed,
-        so it is credited as a buffer hit — this is what keeps the
-        shared-frontier batched engine's hit ratio honest when a batch
-        touches more pages than the buffer holds frames.
+        The read-side twin of :meth:`get`, with the same accounting (one
+        node access, and a random I/O exactly when the page is not
+        resident in the buffer).  The view is built on first read and
+        kept on its node until the node mutates, so the buffer alone
+        decides what a read costs in either store mode.
         """
-        shadow = self._shadow
-        if shadow is not None and shadow.thread_id == threading.get_ident():
-            # Writer-side read during an epoch: view the private clone,
-            # bypassing the shared arena (clones are never published to
-            # the decode cache until the epoch commits).
-            self.counters.node_accesses += 1
-            return DecodedNode.from_node(shadow.get(page_id), self.n_bits)
-        counters = self.counters
-        counters.node_accesses += 1
-        view = self._decoded.get(self._generation, page_id)
-        if view is not None:
-            resident = self._resident
-            if page_id in resident:
-                self._policy.record_access(page_id)
-                return view
-            if self.mode == "sim":
-                # The arena outlived the buffer frame, but simulated
-                # bytes cannot rot and mutations invalidate the view:
-                # serving it pays no I/O and no re-parse, so it counts
-                # as a buffer hit.  Re-admit the page for locality.
-                # (Inline of _fault + _admit — the hot warm-batch path.)
-                node = self._all.get(page_id)
-                if node is None:
-                    raise KeyError(f"unknown page id {page_id}")
-                if self._frames is not None:
-                    while len(resident) >= self._frames:
-                        self._evict_one()
-                resident[page_id] = node
-                self._policy.admit(page_id)
-                return view
-            # Disk mode: once the frame is gone the page bytes are the
-            # authority — a real random I/O.  Drop the stale view so the
-            # fault below re-reads (and checksum-verifies) the page,
-            # then decode fresh.
-            counters.random_ios += 1
-            self._decoded.discard((self._generation, page_id))
-        node = self._resident.get(page_id)
-        if node is not None:
-            self._policy.record_access(page_id)
-        elif view is None:
-            self.counters.random_ios += 1
-            node = self._fault(page_id)
-            self._admit(node)
+        node = self.get(page_id)
+        view = node.view
+        if view is None:
+            self.decode_cache.stats.misses += 1
+            view = node.view = DecodedNode.from_node(node, self.n_bits)
         else:
-            node = self._fault(page_id)
-            self._admit(node)
-        view = DecodedNode.from_node(node, self.n_bits)
-        self._decoded.put(self._generation, page_id, view)
-        node._arena_hook = (self._decoded, (self._generation, page_id))
+            self.decode_cache.stats.hits += 1
         return view
-
-    @property
-    def generation(self) -> int:
-        """Identity of the store's current arena generation."""
-        return self._generation
-
-    @property
-    def decode_cache(self) -> DecodedNodeCache:
-        return self._decoded
-
-    def bump_generation(self) -> int:
-        """Retire the current arena generation (snapshot hot-swap hook).
-
-        Every cached view of the old generation is dropped wholesale and
-        later reads re-key under the new generation, so no query can be
-        served decoded state from before the bump.
-        """
-        old = self._generation
-        self._generation = next_generation()
-        self._decoded.drop_generation(old)
-        return self._generation
 
     def mark_dirty(self, node: Node) -> None:
         """Note that a node mutated and must be flushed before eviction.
@@ -766,12 +665,12 @@ class NodeStore:
         was evicted meanwhile, so the eviction/flush machinery always sees
         (and writes back) the mutated object.
         """
+        node.view = None
         shadow = self._shadow
         if shadow is not None and shadow.thread_id == threading.get_ident():
             shadow.mark_dirty(node)
             return
         self._dirty.add(node.page_id)
-        self._decoded.discard((self._generation, node.page_id))
         self._register_uncommitted(node.page_id)
         if self.mode == "sim":
             if node.page_id not in self._all:
@@ -799,7 +698,6 @@ class NodeStore:
         self._resident.pop(page_id, None)
         self._policy.remove(page_id)
         self._dirty.discard(page_id)
-        self._decoded.discard((self._generation, page_id))
         self._all.pop(page_id, None)
         self._live.pop(page_id, None)
         if self.multipage and self.mode == "disk":
@@ -904,7 +802,7 @@ class NodeStore:
         """Actually free superseded pages once their epoch drained.
 
         The deferred half of a copy-on-write publish: runs the ordinary
-        free path (buffer, arena, WAL free-log, pager) for every page, so
+        free path (buffer, WAL free-log, pager) for every page, so
         crash recovery and space accounting see the frees exactly as if
         they had happened eagerly.
         """
@@ -930,16 +828,16 @@ class NodeStore:
     def clear_cache(self) -> None:
         """Flush and evict everything — a cold buffer pool.
 
-        The decoded-node arena is dropped too: a "cold cache"
-        measurement must pay the decode again, not be served views that
-        outlived the buffer.
+        Node views are dropped too: a "cold cache" measurement must
+        build them again, not be served views that outlived the buffer.
         """
         if self.mode == "disk":
             self.flush()
         for page_id in list(self._resident):
             self._policy.remove(page_id)
         self._resident.clear()
-        self._decoded.clear()
+        for node in list(self._all.values()) + list(self._live.values()):
+            node.view = None
 
     def commit(self, meta: dict | None = None) -> None:
         """Force dirty nodes to the pager and seal a WAL commit batch.

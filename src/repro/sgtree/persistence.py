@@ -111,7 +111,6 @@ def load_tree(
     frames: int | None = 256,
     buffer_policy: str = "lru",
     wal_path: str | os.PathLike | None = None,
-    decode_cache_entries: "int | None | str" = "auto",
 ) -> SGTree:
     """Reopen a tree persisted by :func:`save_tree`.
 
@@ -120,9 +119,6 @@ def load_tree(
     after further updates.  Pass ``wal_path`` to attach a write-ahead
     log: commits become crash-recoverable, and a page that fails its
     checksum can be rescued from its last committed WAL image.
-    ``decode_cache_entries`` budgets the store's decoded-node arena
-    (``"auto"`` sizes it to the buffer budget, ``None`` unbounded,
-    ``0`` disabled).
     """
     path = os.fspath(path)
     with open(_meta_path(path), encoding="utf-8") as handle:
@@ -142,7 +138,6 @@ def load_tree(
         multipage=meta.get("multipage", False),
         pager=pager,
         wal=WriteAheadLog(wal_path) if wal_path is not None else None,
-        decode_cache_entries=decode_cache_entries,
     )
     metric: object = meta["metric"]
     if metric == "hamming" and meta.get("metric_fixed_area") is not None:
@@ -168,7 +163,6 @@ def recover_tree(
     frames: int | None = 256,
     buffer_policy: str = "lru",
     keep_wal: bool = True,
-    decode_cache_entries: "int | None | str" = "auto",
 ) -> SGTree:
     """Restore a tree to its last committed state after a crash.
 
@@ -210,7 +204,6 @@ def recover_tree(
         multipage=meta.get("multipage", False),
         pager=pager,
         wal=wal,
-        decode_cache_entries=decode_cache_entries,
     )
     store.last_recovery = report
     metric: object = meta["metric"]

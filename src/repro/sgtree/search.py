@@ -307,7 +307,7 @@ class _BatchContext:
     """Per-batch precomputation shared by every node visit.
 
     Stacks the query signatures once; a leaf or directory visit is then
-    a single matrix×matrix kernel call over the node's arena-cached
+    a single matrix×matrix kernel call over the node's cached
     signature matrix.  For the Hamming metric the leaf sweep goes
     through the fused threshold filter in :mod:`~repro.core.ckernel`
     when the compiled kernels are available: one native call computes

@@ -64,11 +64,6 @@ class SGTree:
         one is created from the remaining storage keyword arguments.
     page_size, frames, buffer_policy, mode, compress:
         Forwarded to the implicit :class:`NodeStore` (see its docs).
-    decode_cache_entries:
-        Budget (summed entry count) for the store's decoded-node arena;
-        ``"auto"`` (default) sizes it to the buffer budget, ``None``
-        makes it unbounded, ``0`` disables it.  Forwarded to the
-        implicit :class:`NodeStore`.
     """
 
     #: Lock held around every query; set only on the snapshot facades of
@@ -89,7 +84,6 @@ class SGTree:
         buffer_policy: str = "lru",
         mode: str = "sim",
         compress: bool = False,
-        decode_cache_entries: "int | None | str" = "auto",
         telemetry=None,
     ):
         if n_bits <= 0:
@@ -110,7 +104,6 @@ class SGTree:
             policy=buffer_policy,
             mode=mode,
             compress=compress,
-            decode_cache_entries=decode_cache_entries,
         )
         if max_entries is None:
             max_entries = self._store.default_capacity()
@@ -141,14 +134,9 @@ class SGTree:
         frames: int | None = 256,
         buffer_policy: str = "lru",
         wal_path=None,
-        decode_cache_entries: "int | None | str" = "auto",
     ) -> "SGTree":
         """Reopen a persisted tree (convenience for
-        :func:`repro.sgtree.persistence.load_tree`).
-
-        ``decode_cache_entries`` sizes the decoded-node arena exactly as
-        in the constructor; the remaining knobs mirror ``load_tree``.
-        """
+        :func:`repro.sgtree.persistence.load_tree`)."""
         from .persistence import load_tree
 
         return load_tree(
@@ -156,7 +144,6 @@ class SGTree:
             frames=frames,
             buffer_policy=buffer_policy,
             wal_path=wal_path,
-            decode_cache_entries=decode_cache_entries,
         )
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Disk-page substrate: pages, pagers, buffer pool, codecs, compression,
+"""Disk-page substrate: pages, pagers, buffer policies, codecs, compression,
 write-ahead logging, and fault injection for crash testing."""
 
 from ..errors import (
@@ -11,7 +11,7 @@ from ..errors import (
     StorageError,
 )
 from . import compression, faults, serialization, wal
-from .buffer import BufferPool, BufferStats, ClockPolicy, FIFOPolicy, LRUPolicy
+from .buffer import BufferStats, ClockPolicy, FIFOPolicy, LRUPolicy
 from .epoch import Epoch, EpochManager
 from .faults import FaultInjectingLog, FaultInjectingPager, FaultPlan
 from .page import DEFAULT_PAGE_SIZE, INVALID_PAGE, Page, PageId
@@ -30,7 +30,6 @@ __all__ = [
     "compression",
     "serialization",
     "faults",
-    "BufferPool",
     "BufferStats",
     "LRUPolicy",
     "FIFOPolicy",

@@ -1,47 +1,28 @@
-"""Zero-copy decoded-node views and the generation-keyed arena cache.
+"""Zero-copy decoded-node views.
 
 Profiling the batched engine showed the hot path had become *decode*
 cost, not I/O: every node visit re-parsed page bytes (or re-walked
 ``Entry`` objects) into the matrices the vectorised kernels consume.
-This module makes a node access a slice view instead of a parse:
+:class:`DecodedNode` makes a node access a slice view instead of a
+parse: an immutable, array-backed view of one node — the
+``(E, n_words)`` uint64 signature matrix plus parallel entry
+areas/refs/statistics vectors, shared (not copied) with the node it
+views.  It mirrors the read-side API of :class:`~repro.sgtree.node.Node`,
+so search engines consume either interchangeably.
 
-* :class:`DecodedNode` is an immutable, array-backed view of one node —
-  the ``(E, n_words)`` uint64 signature matrix plus parallel entry
-  areas/refs/statistics vectors, shared (not copied) with whatever
-  decoded them.  It mirrors the read-side API of
-  :class:`~repro.sgtree.node.Node`, so search engines consume either
-  interchangeably.
-* :class:`DecodedNodeCache` owns the views, keyed by
-  ``(generation, page_id)`` with an LRU budget sized in **entries** (the
-  natural unit: a view's footprint is proportional to its entry count).
-  The generation key makes snapshot hot-swap cheap: bumping the
-  generation orphans every old view at once — readers that drained
-  before the bump never observe a stale node, and the arrays are freed
-  as soon as the old generation is dropped.
-
-Coherence: a cached view must die with its node's byte image.  The
-store wires an invalidation hook into each viewed ``Node`` so that any
-mutation (``add``/``remove_at``/``replace_entries`` →
-``Node.invalidate()``), dirtying, or page free drops the view in the
-same breath.
+The view is kept on its node (``Node.view``) and dies with the node's
+state: any mutation (``Node.invalidate()``), ``NodeStore.mark_dirty``
+or ``NodeStore.clear_cache`` clears it.  There is no separate view
+cache — the node buffer alone decides which nodes, and so which views,
+stay resident.
 """
 
 from __future__ import annotations
-
-import itertools
-from collections import OrderedDict
 
 import numpy as np
 
 from .buffer import BufferStats
 from .page import PageId
-
-_generations = itertools.count(1)
-
-
-def next_generation() -> int:
-    """A process-unique, monotonically increasing generation id."""
-    return next(_generations)
 
 
 class DecodedNode:
@@ -164,133 +145,18 @@ class DecodedNode:
         return f"DecodedNode(page={self.page_id}, {kind}, entries={len(self)})"
 
 
-class DecodedNodeCache:
-    """LRU cache of :class:`DecodedNode` views keyed by (generation, page).
+class ViewCounters:
+    """Reuse counters of the per-node views (the ``decode_cache_*`` series).
 
-    ``max_entries`` bounds the summed entry counts of the cached views
-    (``None`` = unbounded, ``0`` = disabled).  Hits, misses, evictions
-    and the live entry/byte footprint feed the ``decode_cache_*``
-    telemetry series.
+    The views themselves live on their nodes; ``stats`` only counts how
+    often a read reused a node's view (``hits``) or built one
+    (``misses``).
     """
 
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0 or None, got {max_entries}")
-        self._views: "OrderedDict[tuple[int, PageId], DecodedNode]" = OrderedDict()
-        self._max_entries = max_entries
-        self._entries = 0
+    __slots__ = ("stats",)
+
+    def __init__(self) -> None:
         self.stats = BufferStats()
 
-    @property
-    def max_entries(self) -> int | None:
-        return self._max_entries
 
-    @property
-    def entries(self) -> int:
-        """Summed entry count of the cached views."""
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(view.nbytes for view in self._views.values())
-
-    def get(self, generation: int, page_id: PageId) -> DecodedNode | None:
-        """Look a view up, counting the hit/miss and touching the LRU."""
-        view = self._views.get((generation, page_id))
-        if view is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._views.move_to_end((generation, page_id))
-        return view
-
-    def peek(self, generation: int, page_id: PageId) -> DecodedNode | None:
-        """Look a view up without touching counters or recency.
-
-        An introspection helper (tests, assertions): it never perturbs
-        the hit/miss statistics or the LRU order the way :meth:`get`
-        does.
-        """
-        return self._views.get((generation, page_id))
-
-    def put(self, generation: int, page_id: PageId, view: DecodedNode) -> None:
-        cost = max(1, len(view))
-        if self._max_entries is not None:
-            if self._max_entries == 0:
-                return
-            while self._entries + cost > self._max_entries and self._views:
-                self._evict_one()
-        key = (generation, page_id)
-        old = self._views.pop(key, None)
-        if old is not None:
-            self._entries -= max(1, len(old))
-        self._views[key] = view
-        self._entries += cost
-
-    def discard(self, key: "tuple[int, PageId]") -> None:
-        """Drop one view (mutation/free invalidation hook)."""
-        view = self._views.pop(key, None)
-        if view is not None:
-            self._entries -= max(1, len(view))
-
-    def drop_generation(self, generation: int) -> int:
-        """Drop every view of one generation; returns how many died.
-
-        This is the hot-swap path: the swapped-out tree's generation is
-        retired wholesale, releasing the old arena memory in one sweep.
-        """
-        while True:
-            try:
-                doomed = [key for key in self._views if key[0] == generation]
-                break
-            except RuntimeError:
-                # A reader raced a ``put`` into the dict mid-iteration
-                # (snapshot stragglers re-keying after a hot swap bumped
-                # the generation); re-scan — the retired generation only
-                # ever shrinks, so this converges.
-                continue
-        for key in doomed:
-            self.discard(key)
-        return len(doomed)
-
-    def clear(self) -> None:
-        self._views.clear()
-        self._entries = 0
-
-    def resize(self, max_entries: int | None) -> None:
-        """Change the entry budget at runtime, evicting if shrinking."""
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0 or None, got {max_entries}")
-        self._max_entries = max_entries
-        if max_entries is not None:
-            while self._entries > max_entries and self._views:
-                self._evict_one()
-
-    def register_metrics(self, registry, **labels: str) -> None:
-        """Publish ``decode_cache_*`` series through a metrics registry.
-
-        Pull model like every other stats object here: the hot path
-        keeps bumping plain ints, the registry reads them at scrape
-        time, so caching stays inside the telemetry-overhead budget.
-        """
-        self.stats.register_metrics(registry, prefix="decode_cache", **labels)
-        labelnames = tuple(sorted(labels))
-        registry.gauge(
-            "decode_cache_entries",
-            "Summed entry count of cached decoded-node views", labelnames,
-        ).labels(**labels).set_function(lambda: self._entries)
-        registry.gauge(
-            "decode_cache_bytes",
-            "Resident bytes of cached decoded-node views", labelnames,
-        ).labels(**labels).set_function(lambda: self.nbytes)
-
-    def _evict_one(self) -> None:
-        _, view = self._views.popitem(last=False)
-        self._entries -= max(1, len(view))
-        self.stats.evictions += 1
-
-
-__all__ = ["DecodedNode", "DecodedNodeCache", "next_generation"]
+__all__ = ["DecodedNode", "ViewCounters"]

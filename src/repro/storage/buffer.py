@@ -1,12 +1,11 @@
-"""Buffer pool with pluggable replacement policies.
+"""Buffer replacement policies and hit/miss counters.
 
 The paper argues the SG-tree "can operate with limited memory resources
 and dynamically changing memory resources — caching policies previously
 used for the B+-tree and the R-tree can be seamlessly applied" (Section 6).
-The buffer pool realises that: a bounded cache of deserialised page
-payloads in front of a :class:`~repro.storage.pager.Pager`, with LRU,
-CLOCK and FIFO replacement.  A pool *miss* is one random I/O; the pool's
-counters feed the per-figure I/O numbers of the benchmarks.
+:class:`~repro.sgtree.node.NodeStore` realises that with a bounded frame
+buffer of nodes and one of the LRU, CLOCK and FIFO policies below; an
+access to a node outside the buffer is one random I/O.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .page import Page, PageId
-from .pager import Pager
+from .page import PageId
 
 
 @dataclass
 class BufferStats:
-    """Hit/miss/eviction counters of a buffer pool."""
+    """Hit/miss/eviction counters of a cache."""
 
     hits: int = 0
     misses: int = 0
@@ -46,22 +44,18 @@ class BufferStats:
     def register_metrics(
         self, registry, prefix: str = "buffer", **labels: str
     ) -> None:
-        """Expose these counters through a metrics registry (pull model).
+        """Expose the hit/miss counters through a metrics registry.
 
-        The pool keeps incrementing plain ints on the hot path; the
+        Pull model: the hot path keeps incrementing plain ints; the
         registry reads them via callbacks only at scrape time.  The
         derived hit ratio is published as a gauge.  ``prefix`` names the
-        series family — the decoded-node arena reuses these counters as
-        ``decode_cache_*``.
+        series family (``decode_cache`` for the node views).
         """
         labelnames = tuple(sorted(labels))
         for name, help_text, attr in (
-            (f"{prefix}_hits_total", "Accesses served from a frame", "hits"),
-            (f"{prefix}_misses_total", "Accesses that faulted a page",
+            (f"{prefix}_hits_total", "Lookups served from the cache", "hits"),
+            (f"{prefix}_misses_total", "Lookups that had to build the entry",
              "misses"),
-            (f"{prefix}_evictions_total", "Frames reclaimed", "evictions"),
-            (f"{prefix}_writebacks_total", "Dirty frames written back",
-             "writebacks"),
         ):
             registry.counter(name, help_text, labelnames).labels(
                 **labels
@@ -163,142 +157,7 @@ class ClockPolicy(ReplacementPolicy):
         self._referenced.pop(page_id, None)
 
 
-_POLICIES = {"lru": LRUPolicy, "fifo": FIFOPolicy, "clock": ClockPolicy}
-
-
-class BufferPool:
-    """A bounded write-back cache of page payloads.
-
-    Parameters
-    ----------
-    pager:
-        Backing page store.
-    capacity:
-        Maximum number of cached pages; ``None`` means unbounded (useful
-        for CPU-only experiments where I/O is counted but never paid).
-    policy:
-        Replacement policy instance or name (``"lru"``, ``"fifo"``,
-        ``"clock"``).
-    """
-
-    def __init__(
-        self,
-        pager: Pager,
-        capacity: int | None = 256,
-        policy: ReplacementPolicy | str = "lru",
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        if isinstance(policy, str):
-            try:
-                policy = _POLICIES[policy]()
-            except KeyError:
-                raise ValueError(
-                    f"unknown policy {policy!r}; choose from {sorted(_POLICIES)}"
-                ) from None
-        self._pager = pager
-        self._capacity = capacity
-        self._policy = policy
-        self._frames: dict[PageId, Page] = {}
-        self.stats = BufferStats()
-
-    @property
-    def pager(self) -> Pager:
-        return self._pager
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
-    def resize(self, capacity: int | None) -> None:
-        """Change the frame budget at runtime ("dynamically changing
-        memory resources"), evicting immediately if shrinking."""
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self._capacity = capacity
-        if capacity is not None:
-            while len(self._frames) > capacity:
-                self._evict_one()
-
-    def allocate(self) -> PageId:
-        """Allocate a fresh page and admit an empty frame for it."""
-        page_id = self._pager.allocate()
-        page = Page(page_id=page_id, capacity=self._pager.page_size)
-        self._admit(page)
-        return page_id
-
-    def get(self, page_id: PageId) -> Page:
-        """Fetch a page, through the cache."""
-        page = self._frames.get(page_id)
-        if page is not None:
-            self.stats.hits += 1
-            self._policy.record_access(page_id)
-            return page
-        self.stats.misses += 1
-        page = self._pager.read(page_id)
-        self._admit(page)
-        return page
-
-    def put(self, page_id: PageId, data: bytes) -> None:
-        """Update a page's payload in the cache (written back on eviction
-        or flush)."""
-        page = self._frames.get(page_id)
-        if page is None:
-            self.stats.misses += 1
-            page = self._pager.read(page_id)
-            self._admit(page)
-        else:
-            self.stats.hits += 1
-            self._policy.record_access(page_id)
-        page.write(data)
-
-    def free(self, page_id: PageId) -> None:
-        """Drop a page from the cache and the backing store."""
-        self._frames.pop(page_id, None)
-        self._policy.remove(page_id)
-        self._pager.free(page_id)
-
-    def flush(self) -> None:
-        """Write back every dirty frame (cache contents are kept)."""
-        for page in self._frames.values():
-            if page.dirty:
-                self._pager.write(page)
-                page.dirty = False
-                self.stats.writebacks += 1
-
-    def clear(self) -> None:
-        """Flush and drop all frames (cold cache)."""
-        self.flush()
-        for page_id in list(self._frames):
-            self._policy.remove(page_id)
-        self._frames.clear()
-
-    def __contains__(self, page_id: PageId) -> bool:
-        return page_id in self._frames
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    # -- internals ---------------------------------------------------------
-
-    def _admit(self, page: Page) -> None:
-        if self._capacity is not None:
-            while len(self._frames) >= self._capacity:
-                self._evict_one()
-        self._frames[page.page_id] = page
-        self._policy.admit(page.page_id)
-
-    def _evict_one(self) -> None:
-        victim_id = self._policy.evict()
-        victim = self._frames.pop(victim_id)
-        self.stats.evictions += 1
-        if victim.dirty:
-            self._pager.write(victim)
-            self.stats.writebacks += 1
-
-
 __all__ = [
-    "BufferPool",
     "BufferStats",
     "ReplacementPolicy",
     "LRUPolicy",

@@ -181,7 +181,7 @@ class NodeArrays:
 def decode_node_arrays(data: bytes, n_bits: int) -> NodeArrays | None:
     """Decode an uncompressed node page straight to arrays.
 
-    The fast path behind the decoded-node arena: it walks the entry
+    The fast disk-mode decode path: it walks the entry
     varints once, then gathers every raw signature bitmap in a single
     vectorised slice — no per-entry ``Signature``/``Entry`` objects, no
     per-entry byte copies.  Returns ``None`` for pages using the

@@ -181,9 +181,7 @@ class TestShardedStitching:
         rows = sharded.health()["shards"]["detail"]
         assert len(rows) == N_SHARDS
         for row in rows:
-            assert row["tree_generation"] is not None
-            cache = row["decode_cache"]
-            assert {"hits", "misses", "evictions", "entries"} <= set(cache)
+            assert set(row["decode_cache"]) == {"hits", "misses"}
 
 
 class TestFailurePathTracing:
@@ -367,8 +365,7 @@ class TestHTTPTracing:
         base, _ = served
         _, _, text = http_get(f"{base}/healthz")
         health = json.loads(text)
-        assert health["tree_generation"] is not None
-        assert "decode_cache" in health
+        assert set(health["decode_cache"]) == {"hits", "misses"}
 
     def test_detached_tracing_disables_the_routes(self, transactions):
         tree = SGTree(N_BITS, max_entries=8)

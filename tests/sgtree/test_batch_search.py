@@ -251,9 +251,9 @@ class TestKnnHeapOfferMany:
 
 class TestMidWorkloadMutation:
     """Satellite regression: mutations between (and interleaved with)
-    queries must never be masked by the decoded-node arena.  Every
+    queries must never be masked by a node's cached view.  Every
     mutation path funnels through ``Node.invalidate()``, which drops the
-    cached view in the same breath — so a warm arena serves exactly the
+    view in the same breath — so warm views serve exactly the
     post-mutation state."""
 
     def _tree(self, seed=51, count=220):
@@ -267,7 +267,7 @@ class TestMidWorkloadMutation:
         tree, _ = self._tree()
         rng = np.random.default_rng(12)
         queries = [random_signature(rng, N_BITS, max_items=10) for _ in range(10)]
-        tree.batch_nearest(queries, k=3)  # arena is now hot
+        tree.batch_nearest(queries, k=3)  # views are now hot
 
         probe = queries[0]
         tree.insert(9001, probe)  # exact match: distance 0 under hamming

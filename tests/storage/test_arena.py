@@ -1,15 +1,13 @@
-"""Decoded-node arena: zero-copy views, generation keying, coherence.
+"""Decoded-node views: zero copy, kept on their node, coherent.
 
-Covers the three contracts the arena must keep:
+Covers the two contracts the views must keep:
 
 * :class:`DecodedNode` is a true zero-copy, read-only mirror of a node's
   read API;
-* :class:`DecodedNodeCache` is an entry-budgeted LRU whose generation
-  key retires whole snapshots at once;
-* the store keeps views coherent — any mutation, free, dirtying or
-  generation bump drops the view in the same breath, and in disk mode a
-  view that outlived its buffer frame never substitutes for re-reading
-  the page bytes.
+* the store keeps views coherent — a read reuses the node's view until
+  a mutation, ``mark_dirty`` or ``clear_cache`` clears it, a freed page
+  is never served, and in disk mode a node evicted from the buffer is
+  re-read from its page bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import pytest
 
 from repro import Signature
 from repro.sgtree.node import Entry, NodeStore
-from repro.storage.arena import DecodedNode, DecodedNodeCache
+from repro.storage.arena import DecodedNode
 
 N_BITS = 130
 
@@ -93,128 +91,9 @@ class TestDecodedNode:
         assert oddball.refs_ptr is None    # not int64
 
 
-class TestDecodedNodeCache:
-    def test_get_counts_hits_and_misses(self):
-        cache = DecodedNodeCache()
-        assert cache.get(1, 10) is None
-        assert cache.stats.misses == 1
-        view = make_view(10)
-        cache.put(1, 10, view)
-        assert cache.get(1, 10) is view
-        assert cache.stats.hits == 1
-
-    def test_peek_perturbs_nothing(self):
-        cache = DecodedNodeCache(max_entries=8)
-        cache.put(1, 10, make_view(10))
-        cache.put(1, 11, make_view(11))
-        before = (cache.stats.hits, cache.stats.misses)
-        assert cache.peek(1, 10) is not None
-        assert cache.peek(1, 99) is None
-        assert (cache.stats.hits, cache.stats.misses) == before
-        # peek did not refresh 10's recency: it is still the LRU victim
-        cache.put(1, 12, make_view(12))
-        assert cache.peek(1, 10) is None
-        assert cache.peek(1, 11) is not None
-
-    def test_entry_budget_evicts_least_recently_used(self):
-        cache = DecodedNodeCache(max_entries=8)
-        cache.put(1, 10, make_view(10))
-        cache.put(1, 11, make_view(11))
-        assert cache.entries == 8
-        cache.get(1, 10)  # refresh: 11 becomes the victim
-        cache.put(1, 12, make_view(12))
-        assert cache.stats.evictions == 1
-        assert cache.peek(1, 11) is None
-        assert cache.peek(1, 10) is not None and cache.peek(1, 12) is not None
-
-    def test_put_replacing_a_key_does_not_leak_budget(self):
-        cache = DecodedNodeCache(max_entries=8)
-        cache.put(1, 10, make_view(10))
-        cache.put(1, 10, make_view(10, entries=2))
-        assert len(cache) == 1
-        assert cache.entries == 2
-
-    def test_empty_view_still_costs_one_entry(self):
-        cache = DecodedNodeCache()
-        cache.put(1, 10, make_view(10, entries=0))
-        assert cache.entries == 1
-
-    def test_oversized_view_admitted_after_clearing(self):
-        # a single view larger than the budget must still be cacheable,
-        # or a big-fanout root would thrash forever
-        cache = DecodedNodeCache(max_entries=4)
-        cache.put(1, 10, make_view(10, entries=4))
-        cache.put(1, 11, make_view(11, entries=6))
-        assert cache.peek(1, 10) is None
-        assert cache.peek(1, 11) is not None
-
-    def test_zero_budget_disables_the_cache(self):
-        cache = DecodedNodeCache(max_entries=0)
-        cache.put(1, 10, make_view(10))
-        assert len(cache) == 0
-        assert cache.get(1, 10) is None
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            DecodedNodeCache(max_entries=-1)
-        with pytest.raises(ValueError):
-            DecodedNodeCache().resize(-1)
-
-    def test_drop_generation_is_surgical(self):
-        cache = DecodedNodeCache()
-        cache.put(1, 10, make_view(10))
-        cache.put(1, 11, make_view(11))
-        cache.put(2, 10, make_view(10))
-        assert cache.drop_generation(1) == 2
-        assert cache.peek(1, 10) is None and cache.peek(1, 11) is None
-        assert cache.peek(2, 10) is not None
-        assert cache.entries == 4
-
-    def test_discard_and_clear_release_budget(self):
-        cache = DecodedNodeCache()
-        cache.put(1, 10, make_view(10))
-        cache.put(1, 11, make_view(11))
-        cache.discard((1, 10))
-        assert cache.entries == 4
-        cache.clear()
-        assert cache.entries == 0 and len(cache) == 0
-
-    def test_resize_shrink_evicts_down_to_budget(self):
-        cache = DecodedNodeCache()
-        for page in range(4):
-            cache.put(1, page, make_view(page))
-        cache.resize(8)
-        assert cache.entries <= 8
-        assert cache.max_entries == 8
-        # the survivors are the most recently used
-        assert cache.peek(1, 3) is not None and cache.peek(1, 0) is None
-
-
-class TestAutoBudget:
-    def test_disk_auto_budget_mirrors_the_frame_budget(self):
-        store = NodeStore(N_BITS, mode="disk", frames=4)
-        assert store.decode_cache.max_entries == 4 * store.default_capacity()
-
-    def test_sim_and_unbounded_buffers_get_unbounded_arenas(self):
-        assert NodeStore(N_BITS).decode_cache.max_entries is None
-        assert NodeStore(N_BITS, mode="disk", frames=None).decode_cache.max_entries is None
-
-    def test_explicit_budget_wins(self):
-        store = NodeStore(N_BITS, mode="disk", frames=4, decode_cache_entries=7)
-        assert store.decode_cache.max_entries == 7
-
-    def test_disabled_arena_still_serves_correct_views(self):
-        store = NodeStore(N_BITS, decode_cache_entries=0)
-        node = make_leaf(store, [1, 2, 3])
-        first = store.read(node.page_id)
-        second = store.read(node.page_id)
-        assert first is not second  # nothing cached
-        assert len(store.decode_cache) == 0
-        np.testing.assert_array_equal(first.matrix, second.matrix)
-
-
 class TestStoreCoherence:
-    """Sim-mode store: every write path drops the affected view."""
+    """Sim-mode store: the view lives on its node, and every write path
+    clears it."""
 
     def _store_and_node(self):
         store = NodeStore(N_BITS)
@@ -224,15 +103,16 @@ class TestStoreCoherence:
         store, node = self._store_and_node()
         first = store.read(node.page_id)
         second = store.read(node.page_id)
-        assert first is second
-        assert store.decode_cache.stats.hits >= 1
+        assert first is second is node.view
+        assert store.decode_cache.stats.misses == 1
+        assert store.decode_cache.stats.hits == 1
 
     def test_mutation_invalidates_the_view_end_to_end(self):
         store, node = self._store_and_node()
         stale = store.read(node.page_id)
         assert len(stale) == 3
         node.add(Entry(Signature.from_items([77], N_BITS), 77))
-        assert store.decode_cache.peek(store.generation, node.page_id) is None
+        assert node.view is None
         fresh = store.read(node.page_id)
         assert fresh is not stale
         assert len(fresh) == 4
@@ -242,41 +122,34 @@ class TestStoreCoherence:
         store, node = self._store_and_node()
         store.read(node.page_id)
         store.mark_dirty(node)
-        assert store.decode_cache.peek(store.generation, node.page_id) is None
+        assert node.view is None
 
     def test_free_drops_the_view(self):
         store, node = self._store_and_node()
         store.read(node.page_id)
         store.free(node.page_id)
-        assert store.decode_cache.peek(store.generation, node.page_id) is None
+        with pytest.raises(KeyError):
+            store.read(node.page_id)
+        reused = make_leaf(store, [2, 6])  # the pager recycles the id
+        assert reused.page_id == node.page_id
+        assert store.read(reused.page_id).entry_refs().tolist() == [2, 6]
 
-    def test_clear_cache_drops_the_arena(self):
-        store, node = self._store_and_node()
-        store.read(node.page_id)
-        store.clear_cache()
-        assert len(store.decode_cache) == 0
-
-    def test_bump_generation_orphans_every_view(self):
+    def test_clear_cache_drops_every_view(self):
         store, node = self._store_and_node()
         other = make_leaf(store, [2, 6])
         store.read(node.page_id)
         store.read(other.page_id)
-        old = store.generation
-        new = store.bump_generation()
-        assert new != old
-        assert store.generation == new
-        # old generation fully released, not just unreachable
-        assert len(store.decode_cache) == 0
-        assert store.decode_cache.entries == 0
-        fresh = store.read(node.page_id)
-        assert store.decode_cache.peek(new, node.page_id) is fresh
-        assert store.decode_cache.peek(old, node.page_id) is None
+        store.clear_cache()
+        assert node.view is None and other.view is None
+        misses = store.decode_cache.stats.misses
+        store.read(node.page_id)
+        assert store.decode_cache.stats.misses == misses + 1
 
 
 class TestDiskModeAuthority:
     """Once the buffer frame is gone, the page bytes are the authority:
-    an arena hit for a non-resident page must pay the fault (counted as
-    a random I/O) and decode fresh, never serve the stale view."""
+    reading a non-resident page pays the fault (counted as a random I/O)
+    and decodes fresh, never serving the evicted node's view."""
 
     def _two_page_store(self):
         store = NodeStore(N_BITS, mode="disk", frames=1)
@@ -292,7 +165,7 @@ class TestDiskModeAuthority:
         store.flush()
         return store, pids
 
-    def test_nonresident_arena_hit_rereads_the_page_bytes(self):
+    def test_nonresident_read_rereads_the_page_bytes(self):
         store, (first, second) = self._two_page_store()
         gc.collect()  # drop builder references so faults hit the pager
         stale = store.read(first)
@@ -309,7 +182,7 @@ class TestDiskModeAuthority:
         np.testing.assert_array_equal(fresh.matrix, stale.matrix)
         np.testing.assert_array_equal(fresh.entry_refs(), stale.entry_refs())
 
-    def test_resident_arena_hit_is_free(self):
+    def test_resident_view_reuse_is_free(self):
         store, (first, second) = self._two_page_store()
         store.read(second)  # second is now the one resident frame
         view = store.read(second)

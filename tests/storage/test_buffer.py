@@ -1,107 +1,14 @@
-"""Buffer pool semantics: hit/miss accounting, eviction, write-back,
-replacement policies."""
+"""Buffer replacement policies, alone and behind the node store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.storage import BufferPool, ClockPolicy, FIFOPolicy, LRUPolicy, MemoryPager
+from repro import Signature
+from repro.sgtree.node import Entry, NodeStore
+from repro.storage import ClockPolicy, FIFOPolicy, LRUPolicy
 
-
-def make_pool(capacity=3, policy="lru"):
-    pager = MemoryPager(page_size=128)
-    return pager, BufferPool(pager, capacity=capacity, policy=policy)
-
-
-class TestBasicCaching:
-    def test_hit_after_first_get(self):
-        pager, pool = make_pool()
-        pid = pool.allocate()
-        pool.get(pid)
-        pool.get(pid)
-        assert pool.stats.hits == 2
-        assert pool.stats.misses == 0  # allocate admits the frame
-
-    def test_miss_reads_from_pager(self):
-        pager, pool = make_pool(capacity=1)
-        a = pool.allocate()
-        pool.put(a, b"A")
-        b = pool.allocate()  # evicts a (dirty -> write back)
-        pool.put(b, b"B")
-        page = pool.get(a)  # miss
-        assert page.data == b"A"
-        assert pool.stats.misses == 1
-        assert pool.stats.writebacks >= 1
-
-    def test_put_updates_payload(self):
-        pager, pool = make_pool()
-        pid = pool.allocate()
-        pool.put(pid, b"v1")
-        pool.put(pid, b"v2")
-        assert pool.get(pid).data == b"v2"
-
-    def test_flush_writes_dirty(self):
-        pager, pool = make_pool()
-        pid = pool.allocate()
-        pool.put(pid, b"data")
-        assert pager.read(pid).data == b""  # not yet written back
-        pool.flush()
-        assert pager.read(pid).data == b"data"
-
-    def test_clear_empties_cache(self):
-        pager, pool = make_pool()
-        pid = pool.allocate()
-        pool.put(pid, b"data")
-        pool.clear()
-        assert len(pool) == 0
-        assert pid not in pool
-        assert pool.get(pid).data == b"data"  # re-faulted from pager
-
-    def test_free_removes_everywhere(self):
-        pager, pool = make_pool()
-        pid = pool.allocate()
-        pool.free(pid)
-        assert pid not in pool
-        assert len(pager) == 0
-
-    def test_capacity_enforced(self):
-        pager, pool = make_pool(capacity=2)
-        for _ in range(5):
-            pool.allocate()
-        assert len(pool) <= 2
-        assert pool.stats.evictions == 3
-
-    def test_resize_shrinks_immediately(self):
-        pager, pool = make_pool(capacity=4)
-        pids = [pool.allocate() for _ in range(4)]
-        pool.resize(1)
-        assert len(pool) == 1
-        for pid in pids:
-            assert pool.get(pid).data == b""  # still readable after evictions
-
-    def test_unbounded_pool(self):
-        pager, pool = make_pool(capacity=None)
-        for _ in range(100):
-            pool.allocate()
-        assert len(pool) == 100
-        assert pool.stats.evictions == 0
-
-    def test_invalid_capacity(self):
-        pager = MemoryPager()
-        with pytest.raises(ValueError):
-            BufferPool(pager, capacity=0)
-
-    def test_unknown_policy(self):
-        pager = MemoryPager()
-        with pytest.raises(ValueError, match="unknown policy"):
-            BufferPool(pager, policy="mru")
-
-    def test_hit_ratio(self):
-        pager, pool = make_pool()
-        pid = pool.allocate()
-        pool.get(pid)
-        assert pool.stats.hit_ratio == 1.0
-        assert pool.stats.accesses == 1
+N_BITS = 64
 
 
 class TestReplacementPolicies:
@@ -147,9 +54,19 @@ class TestReplacementPolicies:
     @pytest.mark.parametrize("name", ["lru", "fifo", "clock"])
     def test_pool_correct_under_any_policy(self, name):
         """Whatever the eviction order, reads return the latest write."""
-        pager, pool = make_pool(capacity=2, policy=name)
-        pids = [pool.allocate() for _ in range(6)]
+        store = NodeStore(N_BITS, frames=2, policy=name, mode="disk")
+        pids = []
+        for i in range(6):
+            node = store.create_node(level=0)
+            node.add(Entry(Signature.from_items([i], N_BITS), i))
+            store.mark_dirty(node)
+            pids.append(node.page_id)
         for i, pid in enumerate(pids):
-            pool.put(pid, f"value-{i}".encode())
+            node = store.get(pid)
+            node.replace_entries([Entry(Signature.from_items([i + 10], N_BITS), i + 10)])
+            store.mark_dirty(node)
+        del node
+        decodes = store.counters.node_decodes
         for i, pid in enumerate(pids):
-            assert pool.get(pid).data == f"value-{i}".encode()
+            assert store.read(pid).entry_refs().tolist() == [i + 10]
+        assert store.counters.node_decodes > decodes  # evicted pages re-read

@@ -106,14 +106,7 @@ class TestStorageConfigurations:
         subset = transactions[:1000]
         results, misses = [], []
         for frames in (4, 256):
-            # The decoded-node arena is a second cache layer: in sim
-            # mode it serves evicted pages without paying an I/O, which
-            # would mask the buffer sizing this test measures — so it is
-            # disabled here to isolate the buffer's effect.
-            tree = SGTree(
-                n_bits, max_entries=16, frames=frames,
-                decode_cache_entries=0,
-            )
+            tree = SGTree(n_bits, max_entries=16, frames=frames)
             tree.insert_many(subset)
             tree.store.clear_cache()
             tree.store.counters.reset()
