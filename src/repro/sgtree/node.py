@@ -88,42 +88,128 @@ class Entry:
 
 
 class Node:
-    """A tree node: a level, a page id and a list of entries.
+    """A tree node: a level, a page id and its entries.
 
-    The node lazily maintains a stacked ``(n_entries, n_words)`` matrix of
-    its entry signatures so search can evaluate bounds for the whole node
-    in one vectorised expression, and the read-only
-    :class:`~repro.storage.arena.DecodedNode` view over those arrays that
-    :meth:`NodeStore.read` hands to search; any mutation invalidates both.
+    A node holds its entries in one of two forms.  A node built in
+    memory keeps a list of :class:`Entry` objects and derives, lazily,
+    the stacked ``(n_entries, n_words)`` signature matrix and the
+    per-entry vectors search evaluates a whole node with.  A node
+    faulted in from an uncompressed page (:meth:`from_arrays`) keeps
+    only the decoded arrays: every read-side accessor answers from them,
+    and :attr:`entries` builds the ``Entry`` list on first access and
+    keeps it, so only writers and entry-level callers pay for the
+    objects.  The read-only
+    :class:`~repro.storage.arena.DecodedNode` view that
+    :meth:`NodeStore.read` hands to search shares the same arrays; any
+    mutation invalidates the arrays and the view.
     """
 
     __slots__ = (
-        "page_id", "level", "entries",
-        "_matrix", "_areas", "_refs", "_area_ranges", "view",
+        "page_id", "level", "_entries", "_n_bits",
+        "_matrix", "_areas", "_refs", "_area_ranges", "_counts", "view",
         "__weakref__",
     )
 
     def __init__(self, page_id: PageId, level: int, entries: list[Entry] | None = None):
         self.page_id = page_id
         self.level = level
-        self.entries: list[Entry] = entries if entries is not None else []
+        # None while the node is still in its decoded-array form
+        self._entries: list[Entry] | None = entries if entries is not None else []
+        self._n_bits = 0
         self._matrix: np.ndarray | None = None
         self._areas: np.ndarray | None = None
         self._refs: np.ndarray | None = None
         self._area_ranges: tuple[np.ndarray, np.ndarray] | None = None
+        self._counts: np.ndarray | None = None
         # read-only view sharing the arrays above; None until first read
         self.view: DecodedNode | None = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        page_id: PageId,
+        level: int,
+        n_bits: int,
+        matrix: np.ndarray,
+        refs: np.ndarray,
+        mins: np.ndarray | None = None,
+        maxs: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+    ) -> "Node":
+        """A non-empty node whose state is its decoded page arrays.
+
+        The arrays are marked read-only: entries built from them later
+        wrap the matrix rows as :class:`Signature` objects without
+        copying, and clones share them.  ``mins``/``maxs``/``counts``
+        are given together or not at all.
+        """
+        for array in (matrix, refs, mins, maxs, counts):
+            if array is not None:
+                array.setflags(write=False)
+        node = cls(page_id, level)
+        node._entries = None
+        node._n_bits = n_bits
+        node._matrix = matrix
+        node._refs = refs
+        if mins is not None:
+            node._area_ranges = (mins, maxs)
+            node._counts = counts
+        return node
+
+    @property
+    def entries(self) -> list[Entry]:
+        """The node's entries, built from its arrays on first access."""
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = self._build_entries()
+        return entries
+
+    def _build_entries(self) -> list[Entry]:
+        n_bits = self._n_bits
+        refs = self._refs.tolist()
+        if self._area_ranges is None:
+            return [
+                Entry(Signature(row, n_bits), ref)
+                for row, ref in zip(self._matrix, refs)
+            ]
+        mins, maxs = self._area_ranges
+        return [
+            Entry(Signature(row, n_bits), ref, lo, hi, count)
+            for row, ref, lo, hi, count in zip(
+                self._matrix, refs, mins.tolist(), maxs.tolist(),
+                self._counts.tolist(),
+            )
+        ]
+
+    def clone(self, page_id: PageId) -> "Node":
+        """A private copy under another page id.
+
+        A node still in array form shares its read-only arrays with the
+        copy; otherwise every entry is copied, so mutating the copy's
+        entries never reaches this node.
+        """
+        if self._entries is None:
+            mins, maxs = self._area_ranges or (None, None)
+            return Node.from_arrays(
+                page_id, self.level, self._n_bits, self._matrix, self._refs,
+                mins, maxs, self._counts,
+            )
+        return Node(page_id, self.level, [
+            Entry(e.signature, e.ref, e.min_area, e.max_area, e.count)
+            for e in self._entries
+        ])
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        entries = self._entries
+        return self._refs.shape[0] if entries is None else len(entries)
 
     def signature_matrix(self) -> np.ndarray:
         """Stacked entry signatures, cached until the node mutates."""
-        if self._matrix is None or self._matrix.shape[0] != len(self.entries):
+        if self._matrix is None or self._matrix.shape[0] != len(self):
             if self.entries:
                 self._matrix = np.stack([e.signature.words for e in self.entries])
             else:
@@ -138,7 +224,7 @@ class Node:
         denominators); caching them beside the matrix stops every visit
         from re-popcounting the whole node.
         """
-        if self._areas is None or self._areas.shape[0] != len(self.entries):
+        if self._areas is None or self._areas.shape[0] != len(self):
             self._areas = np.asarray(
                 bitops.popcount(self.signature_matrix()), dtype=np.int64
             )
@@ -146,7 +232,7 @@ class Node:
 
     def entry_refs(self) -> np.ndarray:
         """Per-entry refs (tids or child page ids), cached until mutation."""
-        if self._refs is None or self._refs.shape[0] != len(self.entries):
+        if self._refs is None or self._refs.shape[0] != len(self):
             self._refs = np.fromiter(
                 (entry.ref for entry in self.entries),
                 dtype=np.int64,
@@ -159,12 +245,14 @@ class Node:
 
         Mirrors :meth:`DecodedNode.entry_counts
         <repro.storage.arena.DecodedNode.entry_counts>` so engines read
-        counts off either representation.  Not cached: only aggregate
-        traversals use it.
+        counts off either representation.  Not cached for an entry
+        list: only aggregate traversals use it.
         """
         if self.is_leaf:
             return None
-        raw = [entry.count for entry in self.entries]
+        if self._entries is None:
+            return self._counts
+        raw = [entry.count for entry in self._entries]
         if any(count is None for count in raw):
             return None
         return np.asarray(raw, dtype=np.int64)
@@ -173,8 +261,10 @@ class Node:
         """Per-entry (min_area, max_area) vectors, or ``None`` when any
         entry lacks statistics.  Cached until the node mutates."""
         if self._area_ranges is None:
+            if self._entries is None:
+                return None  # the decoded page carried no statistics
             mins, maxs = [], []
-            for entry in self.entries:
+            for entry in self._entries:
                 if entry.min_area is None or entry.max_area is None:
                     return None
                 mins.append(entry.min_area)
@@ -220,7 +310,8 @@ class Node:
     def union_signature(self) -> Signature:
         """The coverage signature of the whole node (Definition 5)."""
         matrix = self.signature_matrix()
-        n_bits = self.entries[0].signature.n_bits
+        entries = self._entries
+        n_bits = self._n_bits if entries is None else entries[0].signature.n_bits
         return Signature(bitops.union_all(matrix), n_bits)
 
     def add(self, entry: Entry) -> None:
@@ -233,15 +324,22 @@ class Node:
         return entry
 
     def replace_entries(self, entries: list[Entry]) -> None:
-        self.entries = entries
+        self._entries = entries
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop the cached matrix/stats and the view after entry mutation."""
+        """Drop the cached matrix/stats and the view after entry mutation.
+
+        A node still in array form builds its entries first: the arrays
+        are its only copy of them.
+        """
+        if self._entries is None:
+            self._entries = self._build_entries()
         self._matrix = None
         self._areas = None
         self._refs = None
         self._area_ranges = None
+        self._counts = None
         self.view = None
 
     def find_ref(self, ref: int) -> int | None:
@@ -253,7 +351,7 @@ class Node:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"dir(level={self.level})"
-        return f"Node(page={self.page_id}, {kind}, entries={len(self.entries)})"
+        return f"Node(page={self.page_id}, {kind}, entries={len(self)})"
 
 
 @dataclass
@@ -382,14 +480,7 @@ class ShadowSession:
             return self.nodes[clone_id]
         base = self.store._base_get(page_id)
         clone_id = self.store.pager.allocate()
-        clone = Node(
-            page_id=clone_id,
-            level=base.level,
-            entries=[
-                Entry(e.signature, e.ref, e.min_area, e.max_area, e.count)
-                for e in base.entries
-            ],
-        )
+        clone = base.clone(clone_id)
         self.alias[page_id] = clone_id
         self.reverse[clone_id] = page_id
         self.nodes[clone_id] = clone
@@ -947,9 +1038,11 @@ class NodeStore:
 
         Uncompressed pages take the vectorised
         :func:`~repro.storage.serialization.decode_node_arrays` fast
-        path (one gather for all signature bitmaps, lazy caches primed);
-        compressed pages fall back to the per-entry object codec.
-        Either way counts one ``node_decodes``.
+        path: one gather for all signature bitmaps, and the node keeps
+        the decoded arrays as its state (:meth:`_node_from_arrays`), so
+        a fault builds no ``Entry`` or ``Signature`` object.  Compressed
+        pages fall back to the per-entry object codec.  Either way
+        counts one ``node_decodes``.
 
         A page that fails its checksum or does not decode is first
         **rescued**: if a write-ahead log is attached, the page's last
@@ -985,30 +1078,19 @@ class NodeStore:
             tried.add(bad)
 
     def _node_from_arrays(self, page_id: PageId, arrays: NodeArrays) -> Node:
-        matrix = arrays.matrix
-        matrix.setflags(write=False)
-        has_stats = arrays.mins is not None
-        entries = []
-        for index in range(arrays.refs.shape[0]):
-            signature = Signature(matrix[index], self.n_bits)
-            if has_stats:
-                entries.append(Entry(
-                    signature, int(arrays.refs[index]),
-                    min_area=int(arrays.mins[index]),
-                    max_area=int(arrays.maxs[index]),
-                    count=int(arrays.counts[index]),
-                ))
-            else:
-                entries.append(Entry(signature, int(arrays.refs[index])))
-        node = Node(page_id=page_id, level=arrays.level, entries=entries)
-        if entries:
-            # Prime the lazy caches: the decoded arrays ARE the matrices
-            # search consumes, so the first visit pays no re-stack.
-            node._matrix = matrix
-            node._refs = arrays.refs
-            if has_stats:
-                node._area_ranges = (arrays.mins, arrays.maxs)
-        return node
+        """A faulted node whose state is the decoded arrays themselves.
+
+        The arrays ARE what search consumes (matrix, refs, area ranges,
+        counts), so the read path never needs per-entry objects; the
+        ``Entry`` list is built only when a writer or an entry-level
+        caller first asks for :attr:`Node.entries`.
+        """
+        if arrays.refs.shape[0] == 0:
+            return Node(page_id=page_id, level=arrays.level)
+        return Node.from_arrays(
+            page_id, arrays.level, self.n_bits, arrays.matrix, arrays.refs,
+            arrays.mins, arrays.maxs, arrays.counts,
+        )
 
     @staticmethod
     def _node_from_image(page_id: PageId, image: NodeImage) -> Node:

@@ -83,25 +83,19 @@ class DecodedNode:
     @classmethod
     def from_node(cls, node, n_bits: int) -> "DecodedNode":
         """View an in-memory ``Node`` (shares its lazy caches, no copy)."""
-        if len(node.entries) == 0:
-            width = 0
+        if len(node) == 0:
             return cls(
                 node.page_id, node.level, n_bits,
-                np.zeros((0, width), dtype=np.uint64),
+                np.zeros((0, 0), dtype=np.uint64),
                 np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64),
             )
         ranges = node.area_ranges()
         mins, maxs = ranges if ranges is not None else (None, None)
-        counts = None
-        if not node.is_leaf:
-            raw = [entry.count for entry in node.entries]
-            if all(count is not None for count in raw):
-                counts = np.asarray(raw, dtype=np.int64)
         return cls(
             node.page_id, node.level, n_bits,
             node.signature_matrix(), node.entry_areas(), node.entry_refs(),
-            mins=mins, maxs=maxs, counts=counts,
+            mins=mins, maxs=maxs, counts=node.entry_counts(),
         )
 
     @property

@@ -13,8 +13,10 @@ A serialised SG-tree node page has the layout::
              sig      signature — raw bitmap, or the Section-3.2
                       compressed form when the compressed flag is set
 
-Varints are unsigned LEB128.  The codec is symmetric and validated by
-round-trip property tests.
+Varints are unsigned LEB128 and carry values below ``2**63``: refs and
+statistics live in int64 arrays once decoded, so both decoders reject a
+larger value as a framing violation.  The codec is symmetric and
+validated by round-trip property tests.
 """
 
 from __future__ import annotations
@@ -32,12 +34,15 @@ from . import compression
 _FLAG_LEAF = 0x01
 _FLAG_COMPRESSED = 0x02
 _FLAG_STATS = 0x04
+_VARINT_MAX = 2**63 - 1
 
 
 def write_varint(value: int, out: bytearray) -> None:
-    """Append an unsigned LEB128 varint."""
+    """Append an unsigned LEB128 varint (``0 <= value < 2**63``)."""
     if value < 0:
         raise ValueError(f"varints are unsigned, got {value}")
+    if value > _VARINT_MAX:
+        raise ValueError(f"varint {value} does not fit int64")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -49,7 +54,11 @@ def write_varint(value: int, out: bytearray) -> None:
 
 
 def read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    """Read an unsigned LEB128 varint; return (value, next offset)."""
+    """Read an unsigned LEB128 varint; return (value, next offset).
+
+    A value of ``2**63`` or more raises ``ValueError``, like a truncated
+    or over-long varint.
+    """
     value = 0
     shift = 0
     while True:
@@ -59,6 +68,8 @@ def read_varint(data: bytes, offset: int) -> tuple[int, int]:
         offset += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if value > _VARINT_MAX:
+                raise ValueError(f"varint {value} does not fit int64")
             return value, offset
         shift += 7
         if shift > 63:
@@ -202,6 +213,12 @@ def decode_node_arrays(data: bytes, n_bits: int) -> NodeArrays | None:
         has_stats = bool(flags & _FLAG_STATS)
         count, offset = read_varint(data, 2)
         raw_width = bitops.n_words(n_bits) * 8
+        if count * (1 + raw_width) > len(data) - offset:
+            # checked before allocating: a garbage count must not size
+            # the arrays below
+            raise ValueError(
+                f"{count} entries cannot fit in {len(data) - offset} bytes"
+            )
         refs = np.empty(count, dtype=np.int64)
         if has_stats:
             mins = np.empty(count, dtype=np.int64)

@@ -1,0 +1,177 @@
+"""A faulted page becomes arrays, not objects.
+
+A disk-mode fault of an uncompressed page keeps the decoded arrays as
+the node's state; ``Node.entries`` builds the ``Entry``/``Signature``
+objects only when a writer or an entry-level caller first asks.  These
+tests pin the three halves of that contract:
+
+* a cold read-only pass builds no ``Entry`` and no ``Signature`` at all,
+  with unchanged answers and unchanged accounting;
+* copy-on-write writers working on lazily faulted nodes lose nothing
+  through a commit, a reopen and crash recovery;
+* ``invalidate()`` on a node still in array form keeps every entry.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import SGTree, Signature, recover_tree
+from repro.sgtree import ConcurrentSGTree, validate_tree
+from repro.sgtree.node import Entry
+from repro.sgtree.persistence import load_tree, save_tree
+from repro.storage.serialization import decode_node
+from support import random_signature, random_transactions
+
+N_BITS = 96
+PAGE_SIZE = 1024
+
+
+@pytest.fixture
+def built():
+    """A sim-mode tree of height >= 3 and its transactions."""
+    transactions = random_transactions(seed=23, count=400, n_bits=N_BITS)
+    tree = SGTree(N_BITS, max_entries=8, page_size=PAGE_SIZE)
+    for t in transactions:
+        tree.insert(t)
+    assert tree.height >= 3
+    return tree, transactions
+
+
+def _queries(count: int) -> list[Signature]:
+    rng = np.random.default_rng(7)
+    return [random_signature(rng, N_BITS, max_items=10) for _ in range(count)]
+
+
+def constructions_of(disk: SGTree, queries) -> tuple[list, list, dict]:
+    """Run ``batch_nearest`` then ``nearest`` on ``disk``; return both
+    answer lists and the ``Entry``/``Signature`` objects built meanwhile."""
+    mp = pytest.MonkeyPatch()
+    counts = {"Entry": 0, "Signature": 0}
+    try:
+        for cls in (Entry, Signature):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, _name=cls.__name__, **kw):
+                counts[_name] += 1
+                _original(self, *args, **kw)
+
+            mp.setattr(cls, "__init__", counting)
+        batch = disk.batch_nearest(queries, k=4)
+        sequential = [disk.nearest(q, k=4) for q in queries]
+    finally:
+        mp.undo()
+    return batch, sequential, counts
+
+
+class TestColdReadsBuildNoObjects:
+    @pytest.mark.parametrize("frames", [None, 6])
+    def test_cold_pass_builds_no_entry_or_signature(
+        self, built, tmp_path, frames
+    ):
+        tree, _ = built
+        save_tree(tree, tmp_path / "lazy.sgt")
+        disk = load_tree(tmp_path / "lazy.sgt", frames=frames)
+        try:
+            queries = _queries(16)
+            sim_before = tree.store.counters.snapshot()
+            expected_batch = tree.batch_nearest(queries, k=4)
+            expected_seq = [tree.nearest(q, k=4) for q in queries]
+            sim_accesses = tree.store.counters.node_accesses - sim_before.node_accesses
+            store = disk.store
+            store.clear_cache()
+            before = store.counters.snapshot()
+            # the query signatures exist already: only the pass is counted
+            batch, sequential, counts = constructions_of(disk, queries)
+            after = store.counters
+            assert batch == expected_batch
+            assert sequential == expected_seq
+            assert counts == {"Entry": 0, "Signature": 0}
+            assert after.node_accesses - before.node_accesses == sim_accesses
+            decodes = after.node_decodes - before.node_decodes
+            assert decodes > 0
+            assert decodes == after.random_ios - before.random_ios
+        finally:
+            disk.store.pager.close()
+
+
+class TestWritersOnLazyNodes:
+    def test_cow_insert_delete_commit_recover(self, built, tmp_path):
+        tree, transactions = built
+        pages = tmp_path / "cow.sgt"
+        wal_path = tmp_path / "cow.wal"
+        save_tree(tree, pages)
+        disk = load_tree(pages, frames=8, wal_path=wal_path)
+        index = ConcurrentSGTree(tree=disk)
+        # fault every page lazily first: the writers below clone
+        # nodes that are still in array form
+        disk.batch_nearest(_queries(8), k=4)
+        extra = random_transactions(seed=24, count=60, n_bits=N_BITS)
+        for offset, t in enumerate(extra):
+            moved = type(t)(10_000 + offset, t.signature)
+            index.insert(moved)
+            tree.insert(moved)
+        for t in transactions[:40]:
+            assert index.delete(t)
+            assert tree.delete(t)
+        index.reclaim(timeout=10)
+        index.commit()
+        assert dict(index.tree.items()) == dict(tree.items())
+        index.tree.store.pager.close()
+        index.tree.store.wal.close()
+
+        recovered = recover_tree(pages, wal_path)
+        try:
+            validate_tree(recovered)
+            assert dict(recovered.items()) == dict(tree.items())
+            for query in _queries(6):
+                assert recovered.nearest(query, k=3) == tree.nearest(query, k=3)
+        finally:
+            recovered.store.pager.close()
+            recovered.store.wal.close()
+
+
+class TestInvalidateKeepsEntries:
+    def test_invalidate_builds_entries_before_dropping_arrays(
+        self, built, tmp_path
+    ):
+        tree, _ = built
+        save_tree(tree, tmp_path / "lazy.sgt")
+        disk = load_tree(tmp_path / "lazy.sgt", frames=None)
+        try:
+            store = disk.store
+            for page_id in (disk.root_id, *store.read(disk.root_id).entry_refs()):
+                page_id = int(page_id)
+                image = decode_node(store.pager.read(page_id).data, N_BITS)
+                node = store.get(page_id)
+                node.invalidate()
+                assert [(e.signature, e.ref) for e in node.entries] == image.entries
+                stats = [(e.min_area, e.max_area, e.count) for e in node.entries]
+                assert image.stats is not None  # directory pages carry stats
+                assert stats == image.stats
+                # the arrays rebuilt from the entries agree with the page
+                np.testing.assert_array_equal(
+                    node.entry_refs(), [ref for _, ref in image.entries]
+                )
+                assert len(node) == len(image.entries)
+        finally:
+            disk.store.pager.close()
+
+    def test_invalidate_on_a_lazy_leaf(self, built, tmp_path):
+        tree, _ = built
+        save_tree(tree, tmp_path / "lazy.sgt")
+        disk = load_tree(tmp_path / "lazy.sgt", frames=None)
+        try:
+            store = disk.store
+            page_id = disk.root_id
+            while not store.read(page_id).is_leaf:
+                page_id = int(store.read(page_id).entry_refs()[0])
+            image = decode_node(store.pager.read(page_id).data, N_BITS)
+            node = store.get(page_id)
+            assert node.area_ranges() is None and node.entry_counts() is None
+            node.invalidate()
+            assert [(e.signature, e.ref) for e in node.entries] == image.entries
+            assert all(e.min_area is None and e.count is None for e in node.entries)
+        finally:
+            disk.store.pager.close()

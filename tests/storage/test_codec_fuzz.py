@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import NodeDecodeError
 from repro.storage import compression, read_records
-from repro.storage.serialization import decode_node
+from repro.storage.serialization import decode_node, decode_node_arrays
 
 
 class TestNodeCodecFuzz:
@@ -24,6 +25,34 @@ class TestNodeCodecFuzz:
         for signature, ref in image.entries:
             assert signature.n_bits == 100
             assert ref >= 0
+
+    @given(
+        st.one_of(
+            st.binary(min_size=0, max_size=300),
+            # an uncompressed header (leaf/stats flags) over random bytes
+            st.tuples(
+                st.sampled_from([b"\x00", b"\x01", b"\x04", b"\x05"]),
+                st.binary(min_size=0, max_size=300),
+            ).map(b"".join),
+        )
+    )
+    @settings(max_examples=200)
+    def test_decode_node_arrays_never_crashes(self, blob):
+        """The array twin: arbitrary bytes decode cleanly (or are left to
+        the object codec as compressed) or raise ``NodeDecodeError`` —
+        no other exception type escapes."""
+        try:
+            arrays = decode_node_arrays(blob, 100)
+        except NodeDecodeError:
+            return
+        if arrays is None:
+            assert blob[0] & 0x02  # compressed: the object codec's page
+            return
+        n_entries = arrays.refs.shape[0]
+        assert arrays.matrix.shape == (n_entries, 2)
+        assert (arrays.refs >= 0).all()
+        for stat in (arrays.mins, arrays.maxs, arrays.counts):
+            assert stat is None or (stat.shape == (n_entries,) and (stat >= 0).all())
 
     @given(st.binary(min_size=0, max_size=100))
     @settings(max_examples=100)
