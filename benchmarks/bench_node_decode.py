@@ -1,7 +1,7 @@
-"""Node decode cost: cold parse vs cached zero-copy view.
+"""Node decode cost: cold parse vs the read arrays kept on the node.
 
-A node keeps its decoded view while it stays in the buffer, so a node
-access is a slice view instead of a parse.  This benchmark measures what
+A node keeps its read arrays while it stays in the buffer, so a node
+access is an array slice instead of a parse.  This benchmark measures what
 that buys on the batched k-NN workload of ``bench_batch_throughput``
 (T10.I6, hamming, k=10):
 
@@ -13,7 +13,7 @@ that buys on the batched k-NN workload of ``bench_batch_throughput``
   (the fault path: the decoded arrays become the node, with no
   per-entry objects).
 * ``disk_warm`` — the same pass again with the buffer hot: decode calls
-  per query must fall below 1 (visits are served views, not parses).
+  per query must fall below 1 (visits read kept arrays, not parses).
 
 Writes ``BENCH_node_decode.json`` at the repo root.  The CI smoke job
 re-runs this benchmark at a tiny scale and validates the document:
@@ -122,7 +122,7 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
         store = disk.store
         try:
             def cold(stats):
-                store.clear_cache()  # drop buffer and views: pay the parse
+                store.clear_cache()  # drop the buffer: pay the parse
                 return disk.batch_nearest(batch, k=k, stats=stats)
 
             cold_results, cold_row = measure(cold, store, "disk_cold",

@@ -87,8 +87,9 @@ def _stats_doc(stats: SearchStats) -> dict:
 
 
 def _decode_cache_health(store) -> dict:
-    """Node-view reuse counters for a ``/healthz`` row: ``hits`` are
-    reads that reused a node's view, ``misses`` reads that built one."""
+    """Node read-array counters for a ``/healthz`` row: ``hits`` are
+    reads that found a node's arrays ready, ``misses`` reads that had to
+    decode or stack them."""
     stats = store.decode_cache.stats
     return {"hits": stats.hits, "misses": stats.misses}
 

@@ -31,7 +31,7 @@ def _containment_and_enlargement(
     node: Node, signature: Signature
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised per-entry (contains?, enlargement, area) for a node."""
-    matrix = node.signature_matrix()
+    matrix = node.stack_signatures()
     query = signature.words
     missing = np.bitwise_and(query, np.bitwise_not(matrix))
     enlargement = np.bitwise_count(missing).sum(axis=-1, dtype=np.int64)
@@ -63,7 +63,7 @@ def choose_min_overlap(node: Node, signature: Signature) -> int:
     if contains.any():
         candidates = np.flatnonzero(contains)
         return int(candidates[np.argmin(areas[candidates])])
-    matrix = node.signature_matrix()
+    matrix = node.stack_signatures()
     extended = np.bitwise_or(matrix, signature.words)
     n = matrix.shape[0]
     increases = np.zeros(n, dtype=np.int64)

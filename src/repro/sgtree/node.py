@@ -32,15 +32,15 @@ import os
 import struct
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..core import bitops
 from ..core.signature import Signature
 from ..errors import NodeDecodeError, PageCorruptError
-from ..storage.arena import DecodedNode, ViewCounters
-from ..storage.buffer import FIFOPolicy, ClockPolicy, LRUPolicy, ReplacementPolicy
+from ..storage.buffer import BufferStats, ClockPolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy
 from ..storage.page import DEFAULT_PAGE_SIZE, Page, PageId
 from ..storage.page import PageNotFoundError
 from ..storage.pager import MemoryPager, Pager
@@ -55,6 +55,11 @@ from ..storage.serialization import (
 from ..storage.wal import OP_COMMIT, OP_WRITE, LogScanner, RecoveryReport, WriteAheadLog
 
 logger = logging.getLogger(__name__)
+
+# Readers share nodes, so two first reads of one entry-list node may
+# stack its arrays at once; interleaved stores could leave a kernel
+# pointer addressing a matrix the node no longer holds.
+_STACK_LOCK = threading.Lock()
 
 
 @dataclass
@@ -91,23 +96,30 @@ class Node:
     """A tree node: a level, a page id and its entries.
 
     A node holds its entries in one of two forms.  A node built in
-    memory keeps a list of :class:`Entry` objects and derives, lazily,
-    the stacked ``(n_entries, n_words)`` signature matrix and the
-    per-entry vectors search evaluates a whole node with.  A node
-    faulted in from an uncompressed page (:meth:`from_arrays`) keeps
-    only the decoded arrays: every read-side accessor answers from them,
-    and :attr:`entries` builds the ``Entry`` list on first access and
-    keeps it, so only writers and entry-level callers pay for the
-    objects.  The read-only
-    :class:`~repro.storage.arena.DecodedNode` view that
-    :meth:`NodeStore.read` hands to search shares the same arrays; any
-    mutation invalidates the arrays and the view.
+    memory keeps a list of :class:`Entry` objects.  A node faulted in
+    from an uncompressed page (:meth:`from_arrays`) keeps only the
+    decoded arrays, and :attr:`entries` builds the ``Entry`` list on
+    first access and keeps it, so only writers and entry-level callers
+    pay for the objects.
+
+    Search reads a node through its arrays: the ``(n_entries, n_words)``
+    signature matrix, per-entry areas and refs, and the Section-6
+    statistics vectors.  They are built at once (on the first accessor
+    call or :meth:`NodeStore.read`), are read-only however they were
+    built, and are dropped only by :meth:`invalidate`, which every
+    mutation calls.  Once built, each accessor returns its array with no
+    check; an array not built yet is an unset slot.
+
+    Concurrent readers share one ``Node``.  That is safe because every
+    concurrent writer mutates private clones inside a
+    :class:`ShadowSession`: a node a published root reaches never
+    mutates.
     """
 
     __slots__ = (
         "page_id", "level", "_entries", "_n_bits",
-        "_matrix", "_areas", "_refs", "_area_ranges", "_counts", "view",
-        "__weakref__",
+        "_matrix", "_areas", "_refs", "_area_ranges", "_counts",
+        "matrix_ptr", "refs_ptr", "__weakref__",
     )
 
     def __init__(self, page_id: PageId, level: int, entries: list[Entry] | None = None):
@@ -116,13 +128,12 @@ class Node:
         # None while the node is still in its decoded-array form
         self._entries: list[Entry] | None = entries if entries is not None else []
         self._n_bits = 0
-        self._matrix: np.ndarray | None = None
-        self._areas: np.ndarray | None = None
-        self._refs: np.ndarray | None = None
-        self._area_ranges: tuple[np.ndarray, np.ndarray] | None = None
-        self._counts: np.ndarray | None = None
-        # read-only view sharing the arrays above; None until first read
-        self.view: DecodedNode | None = None
+        # Raw base addresses of the signature matrix and the ref vector
+        # for the compiled leaf filters (ndarray.ctypes is too slow to
+        # ask on every visit); None until the arrays exist, and for
+        # layouts the native kernels cannot consume.
+        self.matrix_ptr: int | None = None
+        self.refs_ptr: int | None = None
 
     @classmethod
     def from_arrays(
@@ -138,23 +149,63 @@ class Node:
     ) -> "Node":
         """A non-empty node whose state is its decoded page arrays.
 
-        The arrays are marked read-only: entries built from them later
-        wrap the matrix rows as :class:`Signature` objects without
-        copying, and clones share them.  ``mins``/``maxs``/``counts``
-        are given together or not at all.
+        Entries built from them later wrap the matrix rows as
+        :class:`Signature` objects without copying, and clones share
+        them.  ``mins``/``maxs``/``counts`` are given together or not at
+        all.
         """
-        for array in (matrix, refs, mins, maxs, counts):
-            if array is not None:
-                array.setflags(write=False)
         node = cls(page_id, level)
         node._entries = None
         node._n_bits = n_bits
-        node._matrix = matrix
-        node._refs = refs
-        if mins is not None:
-            node._area_ranges = (mins, maxs)
-            node._counts = counts
+        node._set_arrays(
+            matrix, refs, (mins, maxs) if mins is not None else None, counts
+        )
         return node
+
+    def _set_arrays(
+        self,
+        matrix: np.ndarray,
+        refs: np.ndarray,
+        ranges: "tuple[np.ndarray, np.ndarray] | None",
+        counts: np.ndarray | None,
+    ) -> None:
+        areas = np.asarray(bitops.popcount(matrix), dtype=np.int64)
+        for array in (matrix, refs, areas, counts, *(ranges or ())):
+            if array is not None:
+                array.setflags(write=False)
+        self.matrix_ptr = matrix.ctypes.data if matrix.flags.c_contiguous else None
+        self.refs_ptr = (
+            refs.ctypes.data
+            if refs.flags.c_contiguous and refs.dtype == np.int64
+            else None
+        )
+        self._matrix = matrix
+        self._areas = areas
+        self._area_ranges = ranges
+        self._counts = counts
+        self._refs = refs  # last: a set ``_refs`` means every array is set
+
+    def _stack_arrays(self) -> None:
+        """Build the read arrays from the entry list unless they exist."""
+        with _STACK_LOCK:
+            if hasattr(self, "_refs"):
+                return
+            entries = self._entries
+            if not entries:
+                raise ValueError(f"node {self.page_id} has no entries")
+            matrix = np.stack([entry.signature.words for entry in entries])
+            refs = np.fromiter(
+                (e.ref for e in entries), dtype=np.int64, count=len(entries)
+            )
+            ranges = counts = None
+            if all(e.min_area is not None and e.max_area is not None for e in entries):
+                ranges = (
+                    np.fromiter((e.min_area for e in entries), dtype=np.int64),
+                    np.fromiter((e.max_area for e in entries), dtype=np.int64),
+                )
+            if not self.is_leaf and all(e.count is not None for e in entries):
+                counts = np.fromiter((e.count for e in entries), dtype=np.int64)
+            self._set_arrays(matrix, refs, ranges, counts)
 
     @property
     def entries(self) -> list[Entry]:
@@ -205,75 +256,54 @@ class Node:
 
     def __len__(self) -> int:
         entries = self._entries
-        return self._refs.shape[0] if entries is None else len(entries)
+        return len(self._refs) if entries is None else len(entries)
 
     def signature_matrix(self) -> np.ndarray:
-        """Stacked entry signatures, cached until the node mutates."""
-        if self._matrix is None or self._matrix.shape[0] != len(self):
-            if self.entries:
-                self._matrix = np.stack([e.signature.words for e in self.entries])
-            else:
-                raise ValueError(f"node {self.page_id} has no entries")
-        return self._matrix
+        """Stacked entry signatures, ``(n_entries, n_words)`` uint64."""
+        try:
+            return self._matrix
+        except AttributeError:
+            self._stack_arrays()
+            return self._matrix
 
     def entry_areas(self) -> np.ndarray:
-        """Per-entry signature popcounts, cached until the node mutates.
+        """Per-entry signature popcounts.
 
         Search visits a node's areas on every traversal (visit-order
         tie-breaks, best-first priorities, Dice/overlap/cosine
-        denominators); caching them beside the matrix stops every visit
-        from re-popcounting the whole node.
+        denominators), so they are kept beside the matrix.
         """
-        if self._areas is None or self._areas.shape[0] != len(self):
-            self._areas = np.asarray(
-                bitops.popcount(self.signature_matrix()), dtype=np.int64
-            )
-        return self._areas
+        try:
+            return self._areas
+        except AttributeError:
+            self._stack_arrays()
+            return self._areas
 
     def entry_refs(self) -> np.ndarray:
-        """Per-entry refs (tids or child page ids), cached until mutation."""
-        if self._refs is None or self._refs.shape[0] != len(self):
-            self._refs = np.fromiter(
-                (entry.ref for entry in self.entries),
-                dtype=np.int64,
-                count=len(self.entries),
-            )
-        return self._refs
+        """Per-entry refs (tids or child page ids)."""
+        try:
+            return self._refs
+        except AttributeError:
+            self._stack_arrays()
+            return self._refs
 
     def entry_counts(self) -> np.ndarray | None:
-        """Per-entry subtree counts, or ``None`` when any entry lacks one.
-
-        Mirrors :meth:`DecodedNode.entry_counts
-        <repro.storage.arena.DecodedNode.entry_counts>` so engines read
-        counts off either representation.  Not cached for an entry
-        list: only aggregate traversals use it.
-        """
-        if self.is_leaf:
-            return None
-        if self._entries is None:
+        """Per-entry subtree counts, or ``None`` for a leaf or when any
+        entry lacks one."""
+        try:
             return self._counts
-        raw = [entry.count for entry in self._entries]
-        if any(count is None for count in raw):
-            return None
-        return np.asarray(raw, dtype=np.int64)
+        except AttributeError:
+            self._stack_arrays()
+            return self._counts
 
     def area_ranges(self) -> "tuple[np.ndarray, np.ndarray] | None":
         """Per-entry (min_area, max_area) vectors, or ``None`` when any
-        entry lacks statistics.  Cached until the node mutates."""
-        if self._area_ranges is None:
-            if self._entries is None:
-                return None  # the decoded page carried no statistics
-            mins, maxs = [], []
-            for entry in self._entries:
-                if entry.min_area is None or entry.max_area is None:
-                    return None
-                mins.append(entry.min_area)
-                maxs.append(entry.max_area)
-            self._area_ranges = (
-                np.asarray(mins, dtype=np.int64),
-                np.asarray(maxs, dtype=np.int64),
-            )
-        return self._area_ranges
+        entry lacks statistics."""
+        try:
+            return self._area_ranges
+        except AttributeError:
+            self._stack_arrays()
+            return self._area_ranges
 
     def subtree_count(self) -> int | None:
         """Transactions under this node, from entry statistics.
@@ -307,9 +337,18 @@ class Node:
             return (0, self.entries[0].signature.n_bits)
         return (min(mins), max(maxs))
 
+    def stack_signatures(self) -> np.ndarray:
+        """The signature matrix for a writer about to mutate this node:
+        the read array when built, else a fresh stack that builds none
+        of the read arrays (the mutation would drop them at once)."""
+        try:
+            return self._matrix
+        except AttributeError:
+            return np.stack([entry.signature.words for entry in self.entries])
+
     def union_signature(self) -> Signature:
         """The coverage signature of the whole node (Definition 5)."""
-        matrix = self.signature_matrix()
+        matrix = self.stack_signatures()
         entries = self._entries
         n_bits = self._n_bits if entries is None else entries[0].signature.n_bits
         return Signature(bitops.union_all(matrix), n_bits)
@@ -328,19 +367,16 @@ class Node:
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop the cached matrix/stats and the view after entry mutation.
+        """Drop the read arrays after entry mutation.
 
         A node still in array form builds its entries first: the arrays
         are its only copy of them.
         """
         if self._entries is None:
             self._entries = self._build_entries()
-        self._matrix = None
-        self._areas = None
-        self._refs = None
-        self._area_ranges = None
-        self._counts = None
-        self.view = None
+        self.matrix_ptr = self.refs_ptr = None
+        if hasattr(self, "_refs"):
+            del self._refs, self._matrix, self._areas, self._area_ranges, self._counts
 
     def find_ref(self, ref: int) -> int | None:
         """Index of the entry pointing at ``ref``, or ``None``."""
@@ -611,8 +647,9 @@ class NodeStore:
         self.quarantined: set[PageId] = set()
         # populated by repro.sgtree.persistence.recover_tree
         self.last_recovery: RecoveryReport | None = None
-        # how often read() reused a node's view vs built one
-        self.decode_cache = ViewCounters()
+        # how often read() found a node's arrays ready (hits) vs had to
+        # produce them (misses); the ``decode_cache_*`` series
+        self.decode_cache = SimpleNamespace(stats=BufferStats())
         # active copy-on-write overlay; store calls from its writer
         # thread are routed into the session, every other thread keeps
         # reading the base tables (see ShadowSession)
@@ -731,23 +768,29 @@ class NodeStore:
         self._admit(node)
         return node
 
-    def read(self, page_id: PageId) -> DecodedNode:
-        """Fetch a node as its read-only decoded view — a slice, not a parse.
+    def read(self, page_id: PageId) -> Node:
+        """Fetch a node with its read arrays built — what search visits.
 
         The read-side twin of :meth:`get`, with the same accounting (one
         node access, and a random I/O exactly when the page is not
-        resident in the buffer).  The view is built on first read and
-        kept on its node until the node mutates, so the buffer alone
-        decides what a read costs in either store mode.
+        resident in the buffer).  The arrays stay on the node until it
+        mutates, so the buffer alone decides what a read costs in either
+        store mode.  A ``decode_cache`` miss is a read that had to
+        produce the arrays, by decoding the page or by stacking the
+        entry list; a hit found them ready.
         """
+        decodes = self.counters.node_decodes
         node = self.get(page_id)
-        view = node.view
-        if view is None:
-            self.decode_cache.stats.misses += 1
-            view = node.view = DecodedNode.from_node(node, self.n_bits)
+        stats = self.decode_cache.stats
+        # ready arrays, or an empty node with none to build
+        if hasattr(node, "_refs") or not node._entries:
+            if self.counters.node_decodes == decodes:
+                stats.hits += 1
+                return node
         else:
-            self.decode_cache.stats.hits += 1
-        return view
+            node._stack_arrays()
+        stats.misses += 1
+        return node
 
     def mark_dirty(self, node: Node) -> None:
         """Note that a node mutated and must be flushed before eviction.
@@ -756,7 +799,7 @@ class NodeStore:
         was evicted meanwhile, so the eviction/flush machinery always sees
         (and writes back) the mutated object.
         """
-        node.view = None
+        node.invalidate()
         shadow = self._shadow
         if shadow is not None and shadow.thread_id == threading.get_ident():
             shadow.mark_dirty(node)
@@ -919,8 +962,9 @@ class NodeStore:
     def clear_cache(self) -> None:
         """Flush and evict everything — a cold buffer pool.
 
-        Node views are dropped too: a "cold cache" measurement must
-        build them again, not be served views that outlived the buffer.
+        Read arrays that are only a cache of an entry list are dropped
+        too, so a "cold cache" measurement stacks them again.  A node in
+        array form keeps them: they are its state.
         """
         if self.mode == "disk":
             self.flush()
@@ -928,7 +972,8 @@ class NodeStore:
             self._policy.remove(page_id)
         self._resident.clear()
         for node in list(self._all.values()) + list(self._live.values()):
-            node.view = None
+            if node._entries is not None:
+                node.invalidate()
 
     def commit(self, meta: dict | None = None) -> None:
         """Force dirty nodes to the pager and seal a WAL commit batch.

@@ -365,12 +365,8 @@ class _BatchContext:
         reusable scratch buffers — valid until the next call, so
         callers that retain them must copy.
         """
-        if self._filter is not None:
-            # Arena views carry their matrix base address; a mutable
-            # ``Node`` (or a non-native layout) falls through to numpy.
-            ptr = getattr(node, "matrix_ptr", None)
-            if ptr is not None:
-                return self._filter(qidx, ptr, len(node))
+        if self._filter is not None and node.matrix_ptr is not None:
+            return self._filter(qidx, node.matrix_ptr, len(node))
         distances = self.distances(metric, node, qidx)
         rows, cols = np.nonzero(distances <= self._tau[qidx][:, None])
         return rows, cols, distances[rows, cols]
@@ -397,11 +393,11 @@ class _BatchContext:
             need = 0
             parts = []
             for i, (qidx, node) in enumerate(leaves):
-                mp = getattr(node, "matrix_ptr", None)
-                rp = getattr(node, "refs_ptr", None)
+                mp = node.matrix_ptr
+                rp = node.refs_ptr
                 if mp is None or rp is None:
-                    break  # a mutable Node or odd layout — numpy path
-                rows = node.refs.shape[0]
+                    break  # a layout the kernel cannot read — numpy path
+                rows = len(node)
                 parts.append(qidx)
                 qns[i] = qidx.size
                 mats[i] = mp

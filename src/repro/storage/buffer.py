@@ -49,7 +49,7 @@ class BufferStats:
         Pull model: the hot path keeps incrementing plain ints; the
         registry reads them via callbacks only at scrape time.  The
         derived hit ratio is published as a gauge.  ``prefix`` names the
-        series family (``decode_cache`` for the node views).
+        series family (``decode_cache`` for the node read arrays).
         """
         labelnames = tuple(sorted(labels))
         for name, help_text, attr in (

@@ -166,7 +166,7 @@ def _fmt_bound(value: float) -> str:
 class Tracer:
     """Record visit spans for one traced query.
 
-    The traversal calls :meth:`visit` instead of ``store.get`` — the
+    The traversal calls :meth:`visit` instead of ``store.read`` — the
     tracer performs (and times) the fetch itself so the span's buffer
     hit/miss and decode time describe exactly that access — then reports
     decisions through :meth:`decide`/:meth:`leaf` and closes the span
@@ -186,7 +186,7 @@ class Tracer:
         """
         ios_before = store.counters.random_ios
         start = time.perf_counter()
-        node = store.get(page_id)
+        node = store.read(page_id)
         elapsed = time.perf_counter() - start
         span = VisitSpan(
             index=len(self.spans),
@@ -194,7 +194,7 @@ class Tracer:
             page_id=page_id,
             level=node.level,
             is_leaf=node.is_leaf,
-            fanout=len(node.entries),
+            fanout=len(node),
             buffer_hit=store.counters.random_ios == ios_before,
             decode_seconds=elapsed,
             threshold_in=threshold,

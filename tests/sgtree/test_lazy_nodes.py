@@ -22,6 +22,7 @@ from repro.sgtree import ConcurrentSGTree, validate_tree
 from repro.sgtree.node import Entry
 from repro.sgtree.persistence import load_tree, save_tree
 from repro.storage.serialization import decode_node
+from repro.telemetry.tracing import Tracer
 from support import random_signature, random_transactions
 
 N_BITS = 96
@@ -44,9 +45,9 @@ def _queries(count: int) -> list[Signature]:
     return [random_signature(rng, N_BITS, max_items=10) for _ in range(count)]
 
 
-def constructions_of(disk: SGTree, queries) -> tuple[list, list, dict]:
-    """Run ``batch_nearest`` then ``nearest`` on ``disk``; return both
-    answer lists and the ``Entry``/``Signature`` objects built meanwhile."""
+def constructions_of(run) -> tuple[object, dict]:
+    """Call ``run()``; return its result and the ``Entry``/``Signature``
+    objects built meanwhile."""
     mp = pytest.MonkeyPatch()
     counts = {"Entry": 0, "Signature": 0}
     try:
@@ -58,11 +59,10 @@ def constructions_of(disk: SGTree, queries) -> tuple[list, list, dict]:
                 _original(self, *args, **kw)
 
             mp.setattr(cls, "__init__", counting)
-        batch = disk.batch_nearest(queries, k=4)
-        sequential = [disk.nearest(q, k=4) for q in queries]
+        result = run()
     finally:
         mp.undo()
-    return batch, sequential, counts
+    return result, counts
 
 
 class TestColdReadsBuildNoObjects:
@@ -83,7 +83,10 @@ class TestColdReadsBuildNoObjects:
             store.clear_cache()
             before = store.counters.snapshot()
             # the query signatures exist already: only the pass is counted
-            batch, sequential, counts = constructions_of(disk, queries)
+            (batch, sequential), counts = constructions_of(lambda: (
+                disk.batch_nearest(queries, k=4),
+                [disk.nearest(q, k=4) for q in queries],
+            ))
             after = store.counters
             assert batch == expected_batch
             assert sequential == expected_seq
@@ -92,6 +95,39 @@ class TestColdReadsBuildNoObjects:
             decodes = after.node_decodes - before.node_decodes
             assert decodes > 0
             assert decodes == after.random_ios - before.random_ios
+        finally:
+            disk.store.pager.close()
+
+
+    @pytest.mark.parametrize("frames", [None, 6])
+    def test_traced_cold_pass_takes_the_same_read_path(
+        self, built, tmp_path, frames
+    ):
+        tree, _ = built
+        save_tree(tree, tmp_path / "lazy.sgt")
+        disk = load_tree(tmp_path / "lazy.sgt", frames=frames)
+        try:
+            queries = _queries(16)
+            expected = [tree.nearest(q, k=4) for q in queries]
+            store = disk.store
+            store.clear_cache()
+            before = store.counters.snapshot()
+            cache = store.decode_cache.stats
+            looked_up = cache.hits + cache.misses
+            tracers = [Tracer() for _ in queries]
+            answers, counts = constructions_of(lambda: [
+                disk.nearest(q, k=4, tracer=tracer)
+                for q, tracer in zip(queries, tracers)
+            ])
+            assert answers == expected
+            assert counts == {"Entry": 0, "Signature": 0}
+            accesses = store.counters.node_accesses - before.node_accesses
+            assert accesses == sum(t.node_accesses for t in tracers)
+            # every traced visit went through the read path's accounting
+            assert cache.hits + cache.misses - looked_up == accesses
+            assert store.counters.node_decodes > before.node_decodes
+            for span in (span for t in tracers for span in t.spans):
+                assert span.fanout == len(store.get(span.page_id))
         finally:
             disk.store.pager.close()
 

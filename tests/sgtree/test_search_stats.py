@@ -87,7 +87,7 @@ class TestBatchedAccountingParity:
         # report hit_ratio 1.0 from BOTH engines (the batched path once
         # reported 0.0 because its visits never scored the buffer).
         queries = self._queries()
-        tree.batch_nearest(queries, k=3)  # warm buffer and arena
+        tree.batch_nearest(queries, k=3)  # warm the buffer and the node arrays
         seq = SearchStats()
         for query in queries:
             tree.nearest(query, k=3, stats=seq)
