@@ -7,11 +7,13 @@ signatures (36-of-525), and the codec's round-trip cost.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bench_common import cached_census, cached_quest, n_queries, report
+from repro import Signature
 from repro.storage import compression
-from repro.storage.serialization import NodeImage, decode_node, encode_node
+from repro.storage.serialization import NodeArrays, decode_node, encode_node
 
 T_SIZE, I_SIZE, D = 10, 6, 200_000
 
@@ -57,10 +59,18 @@ def test_benchmark_node_codec_round_trip(benchmark):
     entries = [
         (t.signature, t.tid) for t in workload.transactions[:50]
     ]
-    image = NodeImage(is_leaf=True, level=0, entries=entries)
+    arrays = NodeArrays(
+        is_leaf=True, level=0,
+        refs=np.array([tid for _, tid in entries], dtype=np.int64),
+        matrix=np.stack([signature.words for signature, _ in entries]),
+    )
 
     def round_trip():
-        return decode_node(encode_node(image, compress=True), workload.n_bits)
+        page = encode_node(arrays, workload.n_bits, compress=True)
+        return decode_node(page, workload.n_bits)
 
     decoded = benchmark(round_trip)
-    assert decoded.entries == entries
+    assert [
+        (Signature(row, workload.n_bits), ref)
+        for row, ref in zip(decoded.matrix, decoded.refs.tolist())
+    ] == entries

@@ -588,10 +588,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             if report is not None:
                 print(f"replay: {report.summary()}")
         if args.save_meta:
-            meta = dict(tree.catalogue())
-            meta["format_version"] = 1
             with open(_meta_path(args.pages), "w", encoding="utf-8") as handle:
-                json.dump(meta, handle, indent=2)
+                json.dump(tree.catalogue(), handle, indent=2)
             print(f"wrote {_meta_path(args.pages)}")
         return 0
     finally:

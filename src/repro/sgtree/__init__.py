@@ -33,7 +33,6 @@ from .search import (
     knn,
     knn_best_first,
     knn_depth_first,
-    nearest_all,
     range_search,
     subset_search,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "batch_range",
     "QueryExecutor",
     "browse",
-    "nearest_all",
     "range_search",
     "range_count",
     "range_count_bounds",

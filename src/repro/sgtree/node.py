@@ -44,14 +44,7 @@ from ..storage.buffer import BufferStats, ClockPolicy, FIFOPolicy, LRUPolicy, Re
 from ..storage.page import DEFAULT_PAGE_SIZE, Page, PageId
 from ..storage.page import PageNotFoundError
 from ..storage.pager import MemoryPager, Pager
-from ..storage.serialization import (
-    NodeArrays,
-    NodeImage,
-    capacity_for_page,
-    decode_node,
-    decode_node_arrays,
-    encode_node,
-)
+from ..storage.serialization import NodeArrays, capacity_for_page, decode_node, encode_node
 from ..storage.wal import OP_COMMIT, OP_WRITE, LogScanner, RecoveryReport, WriteAheadLog
 
 logger = logging.getLogger(__name__)
@@ -97,10 +90,10 @@ class Node:
 
     A node holds its entries in one of two forms.  A node built in
     memory keeps a list of :class:`Entry` objects.  A node faulted in
-    from an uncompressed page (:meth:`from_arrays`) keeps only the
-    decoded arrays, and :attr:`entries` builds the ``Entry`` list on
-    first access and keeps it, so only writers and entry-level callers
-    pay for the objects.
+    from its page (:meth:`from_arrays`) keeps only the decoded arrays,
+    and :attr:`entries` builds the ``Entry`` list on first access and
+    keeps it, so only writers and entry-level callers pay for the
+    objects.
 
     Search reads a node through its arrays: the ``(n_entries, n_words)``
     signature matrix, per-entry areas and refs, and the Section-6
@@ -190,22 +183,49 @@ class Node:
         with _STACK_LOCK:
             if hasattr(self, "_refs"):
                 return
-            entries = self._entries
-            if not entries:
+            if not self._entries:
                 raise ValueError(f"node {self.page_id} has no entries")
-            matrix = np.stack([entry.signature.words for entry in entries])
-            refs = np.fromiter(
-                (e.ref for e in entries), dtype=np.int64, count=len(entries)
+            self._set_arrays(*self._entry_arrays())
+
+    def _entry_arrays(self) -> tuple:
+        """Matrix, refs, ``(mins, maxs)`` and counts stacked from the
+        entry list (the statistics ``None`` where any entry lacks them)."""
+        entries = self._entries
+        matrix = np.stack([entry.signature.words for entry in entries])
+        refs = np.fromiter(
+            (e.ref for e in entries), dtype=np.int64, count=len(entries)
+        )
+        ranges = counts = None
+        if all(e.min_area is not None and e.max_area is not None for e in entries):
+            ranges = (
+                np.fromiter((e.min_area for e in entries), dtype=np.int64),
+                np.fromiter((e.max_area for e in entries), dtype=np.int64),
             )
-            ranges = counts = None
-            if all(e.min_area is not None and e.max_area is not None for e in entries):
-                ranges = (
-                    np.fromiter((e.min_area for e in entries), dtype=np.int64),
-                    np.fromiter((e.max_area for e in entries), dtype=np.int64),
-                )
-            if not self.is_leaf and all(e.count is not None for e in entries):
-                counts = np.fromiter((e.count for e in entries), dtype=np.int64)
-            self._set_arrays(matrix, refs, ranges, counts)
+        if not self.is_leaf and all(e.count is not None for e in entries):
+            counts = np.fromiter((e.count for e in entries), dtype=np.int64)
+        return matrix, refs, ranges, counts
+
+    def page_arrays(self) -> NodeArrays:
+        """What this node's page stores.
+
+        The read arrays when built; otherwise arrays stacked from the
+        entry list and kept nowhere, so writing a node back leaves its
+        read state as it was.  Statistics go with a directory whose
+        every entry has all three.
+        """
+        if not len(self):
+            return NodeArrays(
+                self.is_leaf, self.level, np.empty(0, dtype=np.int64),
+                np.empty((0, 0), dtype=np.uint64),
+            )
+        try:
+            refs = self._refs
+            matrix, ranges, counts = self._matrix, self._area_ranges, self._counts
+        except AttributeError:
+            matrix, refs, ranges, counts = self._entry_arrays()
+        if self.is_leaf or ranges is None or counts is None:
+            return NodeArrays(self.is_leaf, self.level, refs, matrix)
+        return NodeArrays(self.is_leaf, self.level, refs, matrix, *ranges, counts)
 
     @property
     def entries(self) -> list[Entry]:
@@ -515,7 +535,7 @@ class ShadowSession:
             self.store.counters.node_accesses += 1
             return self.nodes[clone_id]
         base = self.store._base_get(page_id)
-        clone_id = self.store.pager.allocate()
+        clone_id = self.store._allocate()
         clone = base.clone(clone_id)
         self.alias[page_id] = clone_id
         self.reverse[clone_id] = page_id
@@ -523,7 +543,7 @@ class ShadowSession:
         return clone
 
     def create_node(self, level: int) -> Node:
-        page_id = self.store.pager.allocate()
+        page_id = self.store._allocate()
         node = Node(page_id=page_id, level=level)
         self.nodes[page_id] = node
         self.created.add(page_id)
@@ -641,6 +661,10 @@ class NodeStore:
         # pages touched / freed since the last commit (WAL bookkeeping)
         self._uncommitted: set[PageId] = set()
         self._freed_log: list[PageId] = []
+        # pages allocated since the last commit, and frees of the other
+        # pages, which wait for the commit that logs them (see _release)
+        self._fresh: set[PageId] = set()
+        self._pending_frees: list[PageId] = []
         # corruption accounting: pages restored from their committed WAL
         # image, and pages that could not be restored at all
         self.rescued: set[PageId] = set()
@@ -717,7 +741,7 @@ class NodeStore:
         shadow = self._shadow
         if shadow is not None and shadow.thread_id == threading.get_ident():
             return shadow.create_node(level)
-        page_id = self._pager.allocate()
+        page_id = self._allocate()
         node = Node(page_id=page_id, level=level)
         if self.mode == "sim":
             self._all[page_id] = node
@@ -836,15 +860,35 @@ class NodeStore:
         self._live.pop(page_id, None)
         if self.multipage and self.mode == "disk":
             for continuation in self._chain_of(page_id):
-                self._pager.free(continuation)
-                if self.wal is not None:
-                    self._freed_log.append(continuation)
-                    self._uncommitted.discard(continuation)
+                self._release(continuation)
         self._chains.pop(page_id, None)
-        self._pager.free(page_id)
+        self._release(page_id)
+
+    def _allocate(self) -> PageId:
+        page_id = self._pager.allocate()
         if self.wal is not None:
-            self._freed_log.append(page_id)
-            self._uncommitted.discard(page_id)
+            self._fresh.add(page_id)
+        return page_id
+
+    def _release(self, page_id: PageId) -> None:
+        """Return a page to the pager, or park it until the next commit.
+
+        With a write-ahead log, a page the last commit may reference
+        keeps its slot until :meth:`commit` has synced the record of its
+        free: the pager zeroes a slot it recycles, and a committed page
+        with no log image (a bulk-loaded one) could not be redone after a
+        crash.  Pages allocated since the last commit recycle at once.
+        """
+        if self.wal is None:
+            self._pager.free(page_id)
+            return
+        self._freed_log.append(page_id)
+        self._uncommitted.discard(page_id)
+        if page_id in self._fresh:
+            self._fresh.discard(page_id)
+            self._pager.free(page_id)
+        else:
+            self._pending_frees.append(page_id)
 
     # -- copy-on-write shadow sessions --------------------------------------
 
@@ -999,6 +1043,10 @@ class NodeStore:
         if meta is not None:
             self.wal.append_meta(meta)
         self.wal.append_commit()
+        for page_id in self._pending_frees:
+            self._pager.free(page_id)
+        self._pending_frees.clear()
+        self._fresh.clear()
         self._uncommitted.clear()
         self._freed_log.clear()
         self._emit(
@@ -1081,13 +1129,12 @@ class NodeStore:
     def _load_node(self, page_id: PageId) -> Node:
         """Read and decode a node's bytes, degrading gracefully.
 
-        Uncompressed pages take the vectorised
-        :func:`~repro.storage.serialization.decode_node_arrays` fast
-        path: one gather for all signature bitmaps, and the node keeps
-        the decoded arrays as its state (:meth:`_node_from_arrays`), so
-        a fault builds no ``Entry`` or ``Signature`` object.  Compressed
-        pages fall back to the per-entry object codec.  Either way
-        counts one ``node_decodes``.
+        Every page, raw or compressed, decodes through
+        :func:`~repro.storage.serialization.decode_node` to arrays, and
+        the node keeps them as its state (:meth:`Node.from_arrays`): a
+        fault builds no ``Entry`` or ``Signature`` object, and on a raw
+        page the matrix and refs are views of the page bytes.  Each
+        decode counts one ``node_decodes``.
 
         A page that fails its checksum or does not decode is first
         **rescued**: if a write-ahead log is attached, the page's last
@@ -1102,11 +1149,12 @@ class NodeStore:
             try:
                 data = self._read_chained(page_id)
                 self.counters.node_decodes += 1
-                arrays = decode_node_arrays(data, self.n_bits)
-                if arrays is not None:
-                    return self._node_from_arrays(page_id, arrays)
-                return self._node_from_image(
-                    page_id, decode_node(data, self.n_bits)
+                arrays = decode_node(data, self.n_bits)
+                if arrays.refs.shape[0] == 0:
+                    return Node(page_id=page_id, level=arrays.level)
+                return Node.from_arrays(
+                    page_id, arrays.level, self.n_bits, arrays.matrix,
+                    arrays.refs, arrays.mins, arrays.maxs, arrays.counts,
                 )
             except PageCorruptError as exc:
                 bad = exc.page_id if exc.page_id is not None else page_id
@@ -1121,32 +1169,6 @@ class NodeStore:
                 self._emit("page_quarantined", page_id=bad, reason=str(failure))
                 raise failure
             tried.add(bad)
-
-    def _node_from_arrays(self, page_id: PageId, arrays: NodeArrays) -> Node:
-        """A faulted node whose state is the decoded arrays themselves.
-
-        The arrays ARE what search consumes (matrix, refs, area ranges,
-        counts), so the read path never needs per-entry objects; the
-        ``Entry`` list is built only when a writer or an entry-level
-        caller first asks for :attr:`Node.entries`.
-        """
-        if arrays.refs.shape[0] == 0:
-            return Node(page_id=page_id, level=arrays.level)
-        return Node.from_arrays(
-            page_id, arrays.level, self.n_bits, arrays.matrix, arrays.refs,
-            arrays.mins, arrays.maxs, arrays.counts,
-        )
-
-    @staticmethod
-    def _node_from_image(page_id: PageId, image: NodeImage) -> Node:
-        if image.stats is not None:
-            entries = [
-                Entry(signature, ref, min_area=stat[0], max_area=stat[1], count=stat[2])
-                for (signature, ref), stat in zip(image.entries, image.stats)
-            ]
-        else:
-            entries = [Entry(signature, ref) for signature, ref in image.entries]
-        return Node(page_id=page_id, level=image.level, entries=entries)
 
     def _rescue_page(self, page_id: PageId) -> bool:
         """Restore a page from its last committed WAL image, if any."""
@@ -1182,19 +1204,8 @@ class NodeStore:
         return True
 
     def _write_node(self, node: Node) -> None:
-        stats = None
-        if not node.is_leaf and all(
-            e.min_area is not None and e.max_area is not None and e.count is not None
-            for e in node.entries
-        ):
-            stats = [(e.min_area, e.max_area, e.count) for e in node.entries]
-        image = NodeImage(
-            is_leaf=node.is_leaf,
-            level=node.level,
-            entries=[(e.signature, e.ref) for e in node.entries],
-            stats=stats,
-        )
-        self._write_chained(node.page_id, encode_node(image, compress=self.compress))
+        data = encode_node(node.page_arrays(), self.n_bits, compress=self.compress)
+        self._write_chained(node.page_id, data)
         self.counters.node_writes += 1
 
     # -- multipage chaining -------------------------------------------------
@@ -1248,13 +1259,9 @@ class NodeStore:
             n_cont += 1
         chain = self._chains.get(page_id, self._chain_of(page_id))
         while len(chain) < n_cont:
-            chain.append(self._pager.allocate())
+            chain.append(self._allocate())
         while len(chain) > n_cont:
-            dropped = chain.pop()
-            self._pager.free(dropped)
-            if self.wal is not None:
-                self._freed_log.append(dropped)
-                self._uncommitted.discard(dropped)
+            self._release(chain.pop())
         self._chains[page_id] = chain
         for continuation in chain:
             self._register_uncommitted(continuation)

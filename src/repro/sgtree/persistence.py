@@ -27,13 +27,12 @@ import os
 from ..errors import RecoveryError
 from ..storage.page import PageId
 from ..storage.pager import FilePager
+from ..storage.serialization import FORMAT_VERSION
 from ..storage.wal import WriteAheadLog, read_records, recover
 from .node import Entry, NodeStore
 from .tree import SGTree
 
 __all__ = ["save_tree", "load_tree", "recover_tree"]
-
-_FORMAT_VERSION = 1
 
 
 def _meta_path(path: str | os.PathLike) -> str:
@@ -76,7 +75,6 @@ def save_tree(tree: SGTree, path: str | os.PathLike) -> None:
         page_size = source.page_size
         compress = source.compress
     meta = dict(tree.catalogue())
-    meta["format_version"] = _FORMAT_VERSION
     meta["root_id"] = root_id
     meta["page_size"] = page_size
     meta["compress"] = compress
@@ -123,7 +121,7 @@ def load_tree(
     path = os.fspath(path)
     with open(_meta_path(path), encoding="utf-8") as handle:
         meta = json.load(handle)
-    if meta.get("format_version") != _FORMAT_VERSION:
+    if meta.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported index format {meta.get('format_version')!r} at {path}"
         )
@@ -184,6 +182,11 @@ def recover_tree(
     if committed is None:
         raise RecoveryError(
             f"{os.fspath(wal_path)}: no committed catalogue entry to recover from"
+        )
+    if committed.get("format_version") != FORMAT_VERSION:
+        raise RecoveryError(
+            f"unsupported index format {committed.get('format_version')!r} "
+            f"in {os.fspath(wal_path)}"
         )
     pager = FilePager(pages_path, page_size=committed["page_size"])
     report = recover(pager, wal_path)

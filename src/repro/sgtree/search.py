@@ -61,7 +61,6 @@ __all__ = [
     "batch_knn",
     "batch_range",
     "browse",
-    "nearest_all",
     "range_search",
     "range_count",
     "range_count_bounds",
@@ -1259,52 +1258,6 @@ def knn(
         store, root_id, query, k, metric, stats=stats, deadline=deadline,
         initial_threshold=initial_threshold, bound=bound,
     )
-
-
-def nearest_all(
-    store: NodeStore,
-    root_id: PageId,
-    query: Signature,
-    metric: Metric,
-    stats: SearchStats | None = None,
-) -> list[Neighbor]:
-    """All transactions tied at the minimum distance from the query.
-
-    The Figure-4 variant: predicates in lines 1 and 2 become ``<=`` and a
-    set of current nearest neighbours replaces the single variable.
-    """
-    with _StatsScope(store, stats) as active:
-        best_distance = float("inf")
-        best: list[Neighbor] = []
-
-        def visit(page_id: PageId) -> None:
-            nonlocal best_distance, best
-            node = store.read(page_id)
-            if not len(node):
-                return
-            matrix = node.signature_matrix()
-            refs = node.entry_refs()
-            if node.is_leaf:
-                active.leaf_entries += len(node)
-                distances = metric.distance_many(query, matrix)
-                candidates = np.flatnonzero(distances <= best_distance)
-                order = candidates[np.argsort(distances[candidates], kind="stable")]
-                for i in order:
-                    distance = float(distances[i])
-                    if distance < best_distance:
-                        best_distance = distance
-                        best = [Neighbor(distance, int(refs[i]))]
-                    elif distance == best_distance:
-                        best.append(Neighbor(distance, int(refs[i])))
-            else:
-                bounds, order = _entry_order(metric, query, node)
-                for i in order:
-                    if bounds[i] > best_distance:
-                        break
-                    visit(int(refs[i]))
-
-        visit(root_id)
-        return sorted(best)
 
 
 def range_search(

@@ -29,6 +29,7 @@ from ..core.distance import HAMMING, Metric, resolve_metric
 from ..core.signature import Signature
 from ..core.transaction import Transaction
 from ..storage.page import DEFAULT_PAGE_SIZE, PageId
+from ..storage.serialization import FORMAT_VERSION
 from . import search as _search
 from .insert import CHOOSERS, choose_subtree
 from .node import Entry, Node, NodeStore
@@ -273,6 +274,7 @@ class SGTree:
             "page_size": self._store.page_size,
             "compress": self._store.compress,
             "multipage": self._store.multipage,
+            "format_version": FORMAT_VERSION,
         }
 
     def commit(self) -> None:
@@ -437,18 +439,6 @@ class SGTree:
         :func:`repro.sgtree.search.browse`)."""
         metric = self.metric if metric is None else resolve_metric(metric)
         return _search.browse(self._store, self._root_id, query, metric, stats=stats)
-
-    def nearest_all(
-        self,
-        query: Signature,
-        metric: Metric | str | None = None,
-        stats: "_search.SearchStats | None" = None,
-    ) -> list["_search.Neighbor"]:
-        """All transactions tied at the minimum distance from ``query``."""
-        metric = self.metric if metric is None else resolve_metric(metric)
-        return self._timed("nearest_all", stats, lambda s: _search.nearest_all(
-            self._store, self._root_id, query, metric, stats=s
-        ))
 
     def range_query(
         self,

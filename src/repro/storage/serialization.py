@@ -1,22 +1,29 @@
-"""Node ↔ bytes codecs.
+"""Node ↔ bytes codec.
 
-A serialised SG-tree node page has the layout::
+A node is one page of ``<sig, ptr>`` entries (Section 3) plus, on
+directory pages, the Section-6 per-entry statistics: a matrix of
+signatures beside a few integer columns.  A page stores exactly that,
+column by column::
 
-    header:  1 byte   flags (bit 0: leaf, bit 1: compressed signatures,
-                             bit 2: entries carry area statistics)
-             1 byte   level (0 = leaf; bounded by tree height)
-             varint   number of entries
-    entry i: varint   ref (tid for leaves, child page id for directories)
-             [varint  min_area]   } only when the statistics flag is set
-             [varint  max_area]   } (directory nodes' Section-6 stats:
-             [varint  count]      }  subtree area range + cardinality)
-             sig      signature — raw bitmap, or the Section-3.2
-                      compressed form when the compressed flag is set
+    header:      u8  flags (bit 0: leaf, bit 1: compressed signatures,
+                            bit 2: entries carry area statistics)
+                 u8  level (0 = leaf; bounded by tree height)
+                 u16 zero
+                 u32 n, the number of entries
+    refs:        n × <i8   (tids for leaves, child page ids for directories)
+    stats:       n × <u4 min_area, then n × <u4 max_area, then n × <u4
+                 count, zero-padded to a multiple of 8 bytes; only when
+                 the statistics flag is set
+    signatures:  raw pages: the n × n_words <u8 bitmap matrix;
+                 compressed pages: n self-delimiting Section-3.2
+                 encodings (:func:`repro.storage.compression.encode`)
 
-Varints are unsigned LEB128 and carry values below ``2**63``: refs and
-statistics live in int64 arrays once decoded, so both decoders reject a
-larger value as a framing violation.  The codec is symmetric and
-validated by round-trip property tests.
+Every block starts 8-byte aligned, so on a raw page the refs and the
+signature matrix are ``np.frombuffer`` views of the page bytes: decoding
+runs no Python loop per entry.  Only compressed pages loop, once per
+entry, to fill the matrix rows.  :func:`encode_node` and
+:func:`decode_node` are the whole codec, and round-trip property tests
+pin their symmetry.
 """
 
 from __future__ import annotations
@@ -31,153 +38,27 @@ from ..core.signature import Signature
 from ..errors import NodeDecodeError
 from . import compression
 
+#: Version of this page layout (2: fixed-width columns; 1 was varint
+#: entries).  Index metadata and every write-ahead-log catalogue entry
+#: record it, and an index of another version is refused before any of
+#: its pages is read.
+FORMAT_VERSION = 2
+
 _FLAG_LEAF = 0x01
 _FLAG_COMPRESSED = 0x02
 _FLAG_STATS = 0x04
-_VARINT_MAX = 2**63 - 1
-
-
-def write_varint(value: int, out: bytearray) -> None:
-    """Append an unsigned LEB128 varint (``0 <= value < 2**63``)."""
-    if value < 0:
-        raise ValueError(f"varints are unsigned, got {value}")
-    if value > _VARINT_MAX:
-        raise ValueError(f"varint {value} does not fit int64")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    """Read an unsigned LEB128 varint; return (value, next offset).
-
-    A value of ``2**63`` or more raises ``ValueError``, like a truncated
-    or over-long varint.
-    """
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if value > _VARINT_MAX:
-                raise ValueError(f"varint {value} does not fit int64")
-            return value, offset
-        shift += 7
-        if shift > 63:
-            raise ValueError("varint too long")
-
-
-@dataclass(frozen=True)
-class NodeImage:
-    """The codec-level view of a node: what a page stores.
-
-    ``stats`` carries per-entry ``(min_area, max_area, count)`` triples
-    of directory nodes (``None`` for leaves or when statistics are
-    absent); when present it must be parallel to ``entries``.
-    """
-
-    is_leaf: bool
-    level: int
-    entries: list[tuple[Signature, int]]
-    stats: list[tuple[int, int, int]] | None = None
-
-
-def encode_node(image: NodeImage, compress: bool = False) -> bytes:
-    """Serialise a node image to page bytes."""
-    has_stats = image.stats is not None
-    if has_stats and len(image.stats) != len(image.entries):
-        raise ValueError(
-            f"{len(image.stats)} stats for {len(image.entries)} entries"
-        )
-    flags = (
-        (_FLAG_LEAF if image.is_leaf else 0)
-        | (_FLAG_COMPRESSED if compress else 0)
-        | (_FLAG_STATS if has_stats else 0)
-    )
-    if not 0 <= image.level < 256:
-        raise ValueError(f"level {image.level} out of byte range")
-    out = bytearray([flags, image.level])
-    write_varint(len(image.entries), out)
-    for index, (signature, ref) in enumerate(image.entries):
-        write_varint(ref, out)
-        if has_stats:
-            min_area, max_area, count = image.stats[index]
-            write_varint(min_area, out)
-            write_varint(max_area, out)
-            write_varint(count, out)
-        if compress:
-            out += compression.encode(signature)
-        else:
-            out += bitops.to_bytes(signature.words)
-    return bytes(out)
-
-
-def decode_node(data: bytes, n_bits: int) -> NodeImage:
-    """Inverse of :func:`encode_node`.
-
-    Raises :class:`~repro.errors.NodeDecodeError` (a ``ValueError``) on
-    any framing violation, so callers can distinguish a garbage payload
-    from ordinary value errors.
-    """
-    try:
-        return _decode_node(data, n_bits)
-    except NodeDecodeError:
-        raise
-    except (ValueError, struct.error, IndexError) as exc:
-        raise NodeDecodeError(str(exc)) from exc
-
-
-def _decode_node(data: bytes, n_bits: int) -> NodeImage:
-    if len(data) < 2:
-        raise ValueError(f"node page too short: {len(data)} bytes")
-    flags = data[0]
-    level = data[1]
-    is_leaf = bool(flags & _FLAG_LEAF)
-    compressed = bool(flags & _FLAG_COMPRESSED)
-    has_stats = bool(flags & _FLAG_STATS)
-    count, offset = read_varint(data, 2)
-    raw_width = bitops.n_words(n_bits) * 8
-    entries: list[tuple[Signature, int]] = []
-    stats: list[tuple[int, int, int]] | None = [] if has_stats else None
-    for _ in range(count):
-        ref, offset = read_varint(data, offset)
-        if has_stats:
-            min_area, offset = read_varint(data, offset)
-            max_area, offset = read_varint(data, offset)
-            subtree_count, offset = read_varint(data, offset)
-            stats.append((min_area, max_area, subtree_count))
-        if compressed:
-            signature, offset = compression.decode_prefix(data, offset, n_bits)
-        else:
-            end = offset + raw_width
-            signature = Signature(bitops.from_bytes(data[offset:end], n_bits), n_bits)
-            offset = end
-        entries.append((signature, ref))
-    if offset != len(data):
-        raise ValueError(
-            f"{len(data) - offset} trailing bytes after {count} entries"
-        )
-    return NodeImage(is_leaf=is_leaf, level=level, entries=entries, stats=stats)
+_HEADER = struct.Struct("<BBHI")
+_STAT_MAX = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
 class NodeArrays:
-    """A node decoded straight to kernel-ready arrays (no objects).
+    """What a node page stores, as kernel-ready arrays.
 
-    The array twin of :class:`NodeImage`: ``matrix`` is the
-    ``(n_entries, n_words)`` uint64 signature matrix, ``refs`` the
-    parallel int64 ref vector, and ``mins``/``maxs``/``counts`` the
-    per-entry statistics vectors (``None`` when the page carries no
-    statistics flag).
+    ``matrix`` is the ``(n_entries, n_words)`` uint64 signature matrix,
+    ``refs`` the parallel int64 ref vector, and ``mins``/``maxs``/
+    ``counts`` the per-entry statistics vectors, given together or not
+    at all (``None`` for leaves and pages without statistics).
     """
 
     is_leaf: bool
@@ -189,96 +70,134 @@ class NodeArrays:
     counts: np.ndarray | None = None
 
 
-def decode_node_arrays(data: bytes, n_bits: int) -> NodeArrays | None:
-    """Decode an uncompressed node page straight to arrays.
+def _stats_size(count: int) -> int:
+    return (count * 12 + 7) // 8 * 8
 
-    The fast disk-mode decode path: it walks the entry
-    varints once, then gathers every raw signature bitmap in a single
-    vectorised slice — no per-entry ``Signature``/``Entry`` objects, no
-    per-entry byte copies.  Returns ``None`` for pages using the
-    Section-3.2 compressed encoding (callers fall back to
-    :func:`decode_node`).  Framing violations raise
-    :class:`~repro.errors.NodeDecodeError` exactly like
-    :func:`decode_node`, including non-zero bits past ``n_bits`` in the
-    tail word.
+
+def encode_node(arrays: NodeArrays, n_bits: int, compress: bool = False) -> bytes:
+    """Serialise a node's arrays to page bytes.
+
+    Rejects a level outside a byte, a negative ref, and a statistic
+    outside ``u32``.
+    """
+    if not 0 <= arrays.level < 256:
+        raise ValueError(f"level {arrays.level} out of byte range")
+    refs = np.asarray(arrays.refs, dtype=np.int64)
+    count = refs.shape[0]
+    if count and refs.min() < 0:
+        raise ValueError(f"negative ref {refs.min()}")
+    has_stats = arrays.mins is not None
+    flags = (
+        (_FLAG_LEAF if arrays.is_leaf else 0)
+        | (_FLAG_COMPRESSED if compress else 0)
+        | (_FLAG_STATS if has_stats else 0)
+    )
+    parts = [_HEADER.pack(flags, arrays.level, 0, count), refs.astype("<i8").tobytes()]
+    if has_stats:
+        stats = np.stack([
+            np.asarray(column, dtype=np.int64)
+            for column in (arrays.mins, arrays.maxs, arrays.counts)
+        ])
+        if stats.shape != (3, count):
+            raise ValueError(f"statistics of shape {stats.shape} for {count} entries")
+        if count and (stats.min() < 0 or stats.max() > _STAT_MAX):
+            raise ValueError("statistic outside u32")
+        parts.append(stats.astype("<u4").tobytes().ljust(_stats_size(count), b"\0"))
+    matrix = np.asarray(arrays.matrix, dtype=np.uint64)
+    if count and matrix.shape != (count, bitops.n_words(n_bits)):
+        raise ValueError(f"signature matrix of shape {matrix.shape} for {count} entries")
+    if compress:
+        parts.extend(compression.encode(Signature(row, n_bits)) for row in matrix)
+    elif count:
+        parts.append(matrix.astype("<u8", copy=False).tobytes())
+    return b"".join(parts)
+
+
+def decode_node(data: bytes, n_bits: int) -> NodeArrays:
+    """Inverse of :func:`encode_node`, for raw and compressed pages alike.
+
+    Raises :class:`~repro.errors.NodeDecodeError` (a ``ValueError``) on
+    any framing violation: a short page, unknown header bits, an entry
+    count the page cannot hold (checked before anything is sized by it),
+    trailing bytes, a negative ref, or bits set past ``n_bits``.
     """
     try:
-        if len(data) < 2:
-            raise ValueError(f"node page too short: {len(data)} bytes")
-        flags = data[0]
-        if flags & _FLAG_COMPRESSED:
-            return None
-        level = data[1]
-        is_leaf = bool(flags & _FLAG_LEAF)
-        has_stats = bool(flags & _FLAG_STATS)
-        count, offset = read_varint(data, 2)
-        raw_width = bitops.n_words(n_bits) * 8
-        if count * (1 + raw_width) > len(data) - offset:
-            # checked before allocating: a garbage count must not size
-            # the arrays below
-            raise ValueError(
-                f"{count} entries cannot fit in {len(data) - offset} bytes"
-            )
-        refs = np.empty(count, dtype=np.int64)
-        if has_stats:
-            mins = np.empty(count, dtype=np.int64)
-            maxs = np.empty(count, dtype=np.int64)
-            counts = np.empty(count, dtype=np.int64)
-        else:
-            mins = maxs = counts = None
-        sig_offsets = np.empty(count, dtype=np.int64)
-        for index in range(count):
-            refs[index], offset = read_varint(data, offset)
-            if has_stats:
-                mins[index], offset = read_varint(data, offset)
-                maxs[index], offset = read_varint(data, offset)
-                counts[index], offset = read_varint(data, offset)
-            sig_offsets[index] = offset
-            offset += raw_width
-        if offset != len(data):
-            raise ValueError(
-                f"{len(data) - offset} trailing bytes after {count} entries"
-            )
-        raw = np.frombuffer(data, dtype=np.uint8)
-        gathered = raw[sig_offsets[:, None] + np.arange(raw_width)]
-        matrix = np.ascontiguousarray(gathered).view("<u8").astype(
-            np.uint64, copy=False
-        )
-        tail_bits = n_bits % bitops.WORD_BITS
-        if count and tail_bits:
-            mask = ~((np.uint64(1) << np.uint64(tail_bits)) - np.uint64(1))
-            if np.any(matrix[:, -1] & mask):
-                raise ValueError(f"bits set past n_bits={n_bits} in tail word")
-        return NodeArrays(
-            is_leaf=is_leaf, level=level, refs=refs, matrix=matrix,
-            mins=mins, maxs=maxs, counts=counts,
-        )
+        return _decode_node(data, n_bits)
     except NodeDecodeError:
         raise
     except (ValueError, struct.error, IndexError) as exc:
         raise NodeDecodeError(str(exc)) from exc
 
 
-def max_entry_size(n_bits: int, compress: bool = False) -> int:
-    """Worst-case serialised size of one entry.
+def _decode_node(data: bytes, n_bits: int) -> NodeArrays:
+    if len(data) < _HEADER.size:
+        raise ValueError(f"node page too short: {len(data)} bytes")
+    flags, level, reserved, count = _HEADER.unpack_from(data)
+    if reserved or flags & ~(_FLAG_LEAF | _FLAG_COMPRESSED | _FLAG_STATS):
+        raise ValueError(f"unknown header bits (flags {flags:#x}, reserved {reserved})")
+    compressed = bool(flags & _FLAG_COMPRESSED)
+    width = bitops.n_words(n_bits)
+    offset = _HEADER.size + count * 8
+    if flags & _FLAG_STATS:
+        offset += _stats_size(count)
+    # at least one byte per compressed signature
+    end = offset + count * (1 if compressed else width * 8)
+    if end > len(data):
+        raise ValueError(f"{count} entries cannot fit in {len(data)} bytes")
+    if not compressed and end != len(data):
+        raise ValueError(f"{len(data) - end} trailing bytes after {count} entries")
+    refs = np.frombuffer(data, dtype="<i8", count=count, offset=_HEADER.size)
+    if count and refs.min() < 0:
+        raise ValueError(f"negative ref {refs.min()}")
+    mins = maxs = counts = None
+    if flags & _FLAG_STATS:
+        stats = np.frombuffer(
+            data, dtype="<u4", count=3 * count, offset=_HEADER.size + count * 8
+        ).astype(np.int64).reshape(3, count)
+        mins, maxs, counts = stats
+    if compressed:
+        matrix = np.empty((count, width), dtype=np.uint64)
+        for index in range(count):
+            signature, offset = compression.decode_prefix(data, offset, n_bits)
+            matrix[index] = signature.words
+        if offset != len(data):
+            raise ValueError(
+                f"{len(data) - offset} trailing bytes after {count} entries"
+            )
+    else:
+        matrix = np.frombuffer(
+            data, dtype="<u8", count=count * width, offset=offset
+        ).reshape(count, width)
+        tail_bits = n_bits % bitops.WORD_BITS
+        if count and tail_bits and np.any(matrix[:, -1] >> np.uint64(tail_bits)):
+            raise ValueError(f"bits set past n_bits={n_bits} in tail word")
+    return NodeArrays(
+        is_leaf=bool(flags & _FLAG_LEAF), level=level, refs=refs, matrix=matrix,
+        mins=mins, maxs=maxs, counts=counts,
+    )
 
-    Used to derive a node capacity from a page size: a node of ``M``
-    entries always fits when ``2 + 10 + M * max_entry_size`` is at most
-    the page size.  Compressed signatures are never larger than
-    ``1 + bitmap`` bytes, the flag-byte overhead.
+
+def max_entry_size(n_bits: int, compress: bool = False) -> int:
+    """Upper bound on the serialised size of one entry.
+
+    A node of ``M`` entries always fits when ``12 + M * max_entry_size``
+    is at most the page size: an entry needs at most 20 bytes besides
+    its signature (an 8-byte ref, 12 bytes of statistics), and the
+    header 8 bytes plus at most 4 of statistics padding.  The bound is
+    21 bytes plus the signature, which fixes every derived fan-out (and
+    with it tree shape and I/O counts) independently of the layout's
+    padding.  Compressed signatures are never larger than ``1 + bitmap``
+    bytes, the flag-byte overhead.
     """
     sig_size = bitops.n_words(n_bits) * 8
     if compress:
         sig_size += 1
-    # 10 = worst-case 64-bit varint ref; +11 covers the statistics
-    # varints (two areas bounded by n_bits plus a 32-bit-ish count).
     return 21 + sig_size
 
 
 def capacity_for_page(page_size: int, n_bits: int, compress: bool = False) -> int:
     """Largest node fan-out that always fits a page of ``page_size``."""
-    available = page_size - 2 - 10  # header flags+level and entry-count varint
-    capacity = available // max_entry_size(n_bits, compress)
+    capacity = (page_size - 12) // max_entry_size(n_bits, compress)
     if capacity < 2:
         raise ValueError(
             f"page size {page_size} cannot hold 2 entries of "
@@ -288,14 +207,11 @@ def capacity_for_page(page_size: int, n_bits: int, compress: bool = False) -> in
 
 
 __all__ = [
-    "NodeImage",
+    "FORMAT_VERSION",
     "NodeArrays",
     "NodeDecodeError",
     "encode_node",
     "decode_node",
-    "decode_node_arrays",
-    "write_varint",
-    "read_varint",
     "max_entry_size",
     "capacity_for_page",
 ]

@@ -27,11 +27,12 @@ from repro.errors import CrashError, PageCorruptError, RecoveryError
 from repro.sgtree import (
     ConcurrentSGTree,
     NodeStore,
+    bulk_load,
     scrub_index,
     scrub_tree,
     validate_tree,
 )
-from repro.sgtree.persistence import save_tree
+from repro.sgtree.persistence import load_tree, save_tree
 from repro.storage import (
     FaultInjectingLog,
     FaultInjectingPager,
@@ -389,3 +390,49 @@ class TestConcurrentCrashRecovery:
         pager.close()
         wal.close()
         recovered.store.pager.close()
+
+
+class TestCopyOnWriteCrashBetweenCommits:
+    def test_reclaimed_build_pages_survive_a_crash_before_commit(self, tmp_path):
+        """A bulk-loaded index has no log image of its pages.  After a
+        commit, copy-on-write updates supersede and reclaim some of them;
+        a crash before the next commit must still recover the committed
+        tree: those pages keep their slots until a commit logs the free."""
+        transactions = random_transactions(seed=SEED + 90, count=400, n_bits=N_BITS)
+        pages = tmp_path / "built.pages"
+        wal_path = tmp_path / "built.wal"
+        save_tree(
+            bulk_load(transactions, N_BITS, max_entries=8, page_size=PAGE_SIZE),
+            pages,
+        )
+        tree = load_tree(pages, frames=8, wal_path=wal_path)
+        index = ConcurrentSGTree(tree)
+        state = {t.tid: t.signature for t in transactions}
+        extra = random_transactions(seed=SEED + 91, count=120, n_bits=N_BITS)
+        rng = random.Random(SEED)
+
+        def update(fresh):
+            index.insert(fresh)
+            state[fresh.tid] = fresh.signature
+            victim = rng.choice(sorted(state))
+            assert index.delete(victim, state.pop(victim))
+            index.reclaim()
+
+        moved = [Transaction(10_000 + i, t.signature) for i, t in enumerate(extra)]
+        for fresh in moved[:20]:
+            update(fresh)
+        index.commit()
+        committed = dict(state)
+        # enough uncommitted updates to recycle reclaimed build pages
+        for fresh in moved[20:]:
+            update(fresh)
+        assert index.reclaimed_pages > 0
+        # crash: drop the files as they are, with no commit
+        tree.store.pager.close()
+        tree.store.wal.close()
+
+        recovered = recover_tree(pages, wal_path, keep_wal=False)
+        try:
+            check_recovered(recovered, committed)
+        finally:
+            recovered.store.pager.close()

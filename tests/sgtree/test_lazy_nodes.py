@@ -1,6 +1,6 @@
 """A faulted page becomes arrays, not objects.
 
-A disk-mode fault of an uncompressed page keeps the decoded arrays as
+A disk-mode fault of a page, raw or compressed, keeps the decoded arrays as
 the node's state; ``Node.entries`` builds the ``Entry``/``Signature``
 objects only when a writer or an entry-level caller first asks.  These
 tests pin the three halves of that contract:
@@ -27,6 +27,14 @@ from support import random_signature, random_transactions
 
 N_BITS = 96
 PAGE_SIZE = 1024
+
+
+def _page_entries(page) -> list[tuple[Signature, int]]:
+    """The ``(signature, ref)`` pairs a decoded page holds."""
+    return [
+        (Signature(row, N_BITS), ref)
+        for row, ref in zip(page.matrix, page.refs.tolist())
+    ]
 
 
 @pytest.fixture
@@ -132,6 +140,47 @@ class TestColdReadsBuildNoObjects:
             disk.store.pager.close()
 
 
+class TestEveryFaultBuildsArrays:
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_fault_keeps_the_page_arrays(self, tmp_path, compress):
+        """Raw and compressed pages alike fault into array-form nodes
+        with no ``Entry``; a raw page's matrix and refs are views of the
+        page bytes, so the compiled kernels get their base addresses."""
+        tree = SGTree(N_BITS, max_entries=8, page_size=PAGE_SIZE, compress=compress)
+        for t in random_transactions(seed=23, count=400, n_bits=N_BITS):
+            tree.insert(t)
+        save_tree(tree, tmp_path / "faults.sgt")
+        disk = load_tree(tmp_path / "faults.sgt", frames=None)
+        try:
+            store = disk.store
+            store.clear_cache()
+
+            def fault_all():
+                nodes, pending = [], [disk.root_id]
+                while pending:
+                    node = store.read(pending.pop())
+                    nodes.append(node)
+                    if not node.is_leaf:
+                        pending.extend(int(ref) for ref in node.entry_refs())
+                return nodes
+
+            nodes, counts = constructions_of(fault_all)
+            assert counts["Entry"] == 0
+            assert len(nodes) == store.counters.node_decodes > 1
+            for node in nodes:
+                assert node._entries is None  # array form
+                assert node.matrix_ptr is not None and node.refs_ptr is not None
+                if not compress:
+                    for array in (node.signature_matrix(), node.entry_refs()):
+                        while isinstance(array, np.ndarray):
+                            array = array.base
+                        assert isinstance(array, bytes)
+            validate_tree(disk)
+            assert dict(disk.items()) == dict(tree.items())
+        finally:
+            disk.store.pager.close()
+
+
 class TestWritersOnLazyNodes:
     def test_cow_insert_delete_commit_recover(self, built, tmp_path):
         tree, transactions = built
@@ -179,18 +228,18 @@ class TestInvalidateKeepsEntries:
             store = disk.store
             for page_id in (disk.root_id, *store.read(disk.root_id).entry_refs()):
                 page_id = int(page_id)
-                image = decode_node(store.pager.read(page_id).data, N_BITS)
+                page = decode_node(store.pager.read(page_id).data, N_BITS)
                 node = store.get(page_id)
                 node.invalidate()
-                assert [(e.signature, e.ref) for e in node.entries] == image.entries
+                assert [(e.signature, e.ref) for e in node.entries] == _page_entries(page)
                 stats = [(e.min_area, e.max_area, e.count) for e in node.entries]
-                assert image.stats is not None  # directory pages carry stats
-                assert stats == image.stats
+                assert page.mins is not None  # directory pages carry stats
+                assert stats == list(zip(
+                    page.mins.tolist(), page.maxs.tolist(), page.counts.tolist()
+                ))
                 # the arrays rebuilt from the entries agree with the page
-                np.testing.assert_array_equal(
-                    node.entry_refs(), [ref for _, ref in image.entries]
-                )
-                assert len(node) == len(image.entries)
+                np.testing.assert_array_equal(node.entry_refs(), page.refs)
+                assert len(node) == len(page.refs)
         finally:
             disk.store.pager.close()
 
@@ -203,11 +252,11 @@ class TestInvalidateKeepsEntries:
             page_id = disk.root_id
             while not store.read(page_id).is_leaf:
                 page_id = int(store.read(page_id).entry_refs()[0])
-            image = decode_node(store.pager.read(page_id).data, N_BITS)
+            page = decode_node(store.pager.read(page_id).data, N_BITS)
             node = store.get(page_id)
             assert node.area_ranges() is None and node.entry_counts() is None
             node.invalidate()
-            assert [(e.signature, e.ref) for e in node.entries] == image.entries
+            assert [(e.signature, e.ref) for e in node.entries] == _page_entries(page)
             assert all(e.min_area is None and e.count is None for e in node.entries)
         finally:
             disk.store.pager.close()

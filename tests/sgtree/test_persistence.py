@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from repro import HammingMetric, LinearScan, SGTree
+from repro import HammingMetric, LinearScan, SGTree, recover_tree
+from repro.errors import RecoveryError
 from repro.sgtree import NodeStore, validate_tree
 from repro.sgtree.persistence import load_tree, save_tree
-from repro.storage import FilePager
+from repro.storage import FilePager, WriteAheadLog
 from support import random_signature, random_transactions
 
 import numpy as np
@@ -122,6 +123,44 @@ class TestExportAndReload:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="format"):
             load_tree(path)
+
+    def test_varint_page_format_rejected(self, transactions, tmp_path):
+        """Format 1 stored varint pages; its meta must fail to open with
+        the typed error rather than decode its pages as columns."""
+        tree = SGTree(N_BITS, max_entries=8)
+        tree.insert(transactions[0])
+        path = tmp_path / "v1.sgt"
+        save_tree(tree, path)
+        meta_path = tmp_path / "v1.sgt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["format_version"] == 2
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="unsupported index format 1"):
+            load_tree(path)
+
+    def test_varint_page_format_log_rejected_before_replay(
+        self, transactions, tmp_path
+    ):
+        """A log written by format 1 carries no ``format_version`` in its
+        catalogue entries; recovery refuses it before touching the page
+        file, rather than rescuing and quarantining its pages."""
+        tree = SGTree(N_BITS, max_entries=8)
+        for t in transactions[:40]:
+            tree.insert(t)
+        path = tmp_path / "v1.sgt"
+        save_tree(tree, path)
+        meta = tree.catalogue()
+        assert meta.pop("format_version") == 2
+        wal = WriteAheadLog(tmp_path / "v1.wal")
+        wal.append_write(0, b"\x01\x00\x00")  # a format-1 leaf image
+        wal.append_meta(meta)
+        wal.append_commit()
+        wal.close()
+        before = path.read_bytes()
+        with pytest.raises(RecoveryError, match="unsupported index format None"):
+            recover_tree(path, tmp_path / "v1.wal")
+        assert path.read_bytes() == before
 
     def test_empty_tree_round_trip(self, tmp_path):
         tree = SGTree(N_BITS, max_entries=8)

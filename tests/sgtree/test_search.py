@@ -105,7 +105,10 @@ class TestNearestAll:
     def test_returns_all_ties(self, dataset, queries):
         transactions, tree, _ = dataset
         for query in queries[:10]:
-            ties = tree.nearest_all(query)
+            # every transaction tied at the 1-NN distance, from the
+            # surviving calls: the 1-NN, then a range query at its distance
+            best_distance = tree.nearest(query, k=1)[0].distance
+            ties = tree.range_query(query, best_distance)
             distances = sorted(
                 HAMMING.distance(query, t.signature) for t in transactions
             )

@@ -2,57 +2,79 @@
 
 from __future__ import annotations
 
-import pytest
+import struct
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NodeDecodeError
 from repro.storage import compression, read_records
-from repro.storage.serialization import decode_node, decode_node_arrays
+from repro.storage.serialization import decode_node
+
+# every combination of the leaf, compressed and statistics flags
+_FLAGS = st.integers(0, 7)
+
+
+def _header(flags: int, level: int, count: int) -> bytes:
+    return struct.pack("<BBHI", flags, level, 0, count)
+
+
+def _check_plausible(arrays) -> None:
+    n_entries = arrays.refs.shape[0]
+    assert arrays.matrix.shape == (n_entries, 2)
+    assert (arrays.refs >= 0).all()
+    for stat in (arrays.mins, arrays.maxs, arrays.counts):
+        assert stat is None or (stat.shape == (n_entries,) and (stat >= 0).all())
+    tail_mask = np.uint64(~((1 << 36) - 1) & (2**64 - 1))  # bits 100..127
+    assert not (arrays.matrix[:, -1] & tail_mask).any()
 
 
 class TestNodeCodecFuzz:
-    @given(st.binary(min_size=0, max_size=300))
-    @settings(max_examples=150)
-    def test_decode_node_never_crashes(self, blob):
-        """Arbitrary bytes either decode to a structurally plausible node
-        or raise ValueError — no other exception type escapes."""
-        try:
-            image = decode_node(blob, 100)
-        except ValueError:
-            return
-        assert isinstance(image.entries, list)
-        for signature, ref in image.entries:
-            assert signature.n_bits == 100
-            assert ref >= 0
-
     @given(
         st.one_of(
             st.binary(min_size=0, max_size=300),
-            # an uncompressed header (leaf/stats flags) over random bytes
+            # a well-formed header (any flags, raw or compressed) with a
+            # small entry count over random bytes
             st.tuples(
-                st.sampled_from([b"\x00", b"\x01", b"\x04", b"\x05"]),
+                _FLAGS, st.integers(0, 255), st.integers(0, 6),
                 st.binary(min_size=0, max_size=300),
-            ).map(b"".join),
+            ).map(lambda t: _header(*t[:3]) + t[3]),
         )
     )
-    @settings(max_examples=200)
-    def test_decode_node_arrays_never_crashes(self, blob):
-        """The array twin: arbitrary bytes decode cleanly (or are left to
-        the object codec as compressed) or raise ``NodeDecodeError`` —
-        no other exception type escapes."""
+    @settings(max_examples=300)
+    def test_decode_node_never_crashes(self, blob):
+        """Arbitrary bytes, compressed pages included, either decode to a
+        structurally plausible node or raise ``NodeDecodeError`` — no
+        other exception type escapes."""
         try:
-            arrays = decode_node_arrays(blob, 100)
+            arrays = decode_node(blob, 100)
         except NodeDecodeError:
             return
-        if arrays is None:
-            assert blob[0] & 0x02  # compressed: the object codec's page
+        _check_plausible(arrays)
+
+    @given(
+        st.integers(0, 7).map(lambda flags: flags & ~0x02),
+        st.integers(0, 6),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_decode_node_arrays_never_crashes(self, flags, count, data):
+        """Raw pages of exactly the right length for their count, with
+        random refs, statistics and bitmaps: the decoder returns views
+        that pass every check (no negative ref, no bit past ``n_bits``)
+        or raises ``NodeDecodeError``."""
+        size = count * 8 + count * 16
+        if flags & 0x04:
+            size += (count * 12 + 7) // 8 * 8
+        blob = _header(flags, 1, count) + data.draw(
+            st.binary(min_size=size, max_size=size)
+        )
+        try:
+            arrays = decode_node(blob, 100)
+        except NodeDecodeError:
             return
-        n_entries = arrays.refs.shape[0]
-        assert arrays.matrix.shape == (n_entries, 2)
-        assert (arrays.refs >= 0).all()
-        for stat in (arrays.mins, arrays.maxs, arrays.counts):
-            assert stat is None or (stat.shape == (n_entries,) and (stat >= 0).all())
+        _check_plausible(arrays)
 
     @given(st.binary(min_size=0, max_size=100))
     @settings(max_examples=100)
