@@ -68,21 +68,6 @@ def _initial_threshold(value: str) -> float:
     return threshold
 
 
-def _bound_interval(value: str) -> int:
-    """argparse type for ``--bound-report-interval``: integer >= 1."""
-    try:
-        interval = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from None
-    if interval < 1:
-        raise argparse.ArgumentTypeError(
-            f"bound report interval must be >= 1, got {value!r}"
-        )
-    return interval
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sgtree",
@@ -245,16 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quorum", type=int, default=None,
                        help="shards that must be up for readiness "
                             "(default: a majority)")
-    serve.add_argument("--no-bound-sharing", action="store_true",
-                       help="disable cooperative cross-shard kNN pruning "
-                            "(pilot-shard seeding and mid-flight bound "
-                            "broadcast); shards then prune on local "
-                            "k-th distances only")
-    serve.add_argument("--bound-report-interval", type=_bound_interval,
-                       default=None, metavar="M",
-                       help="node visits between a shard's mid-flight "
-                            "bound reports (default 16; smaller = tighter "
-                            "pruning, more coordination traffic)")
     serve.add_argument("--drain-timeout", type=float, default=5.0,
                        help="seconds to drain in-flight requests on "
                             "SIGTERM/SIGINT before exiting (default 5)")
@@ -503,12 +478,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"{stats.random_ios} random I/Os, "
                 f"{stats.data_fraction(len(tree)):.2f}% of data compared"
             )
-            if stats.bound_provenance is not None or stats.bound_updates_applied:
-                print(
-                    f"pruning bound: "
-                    f"provenance={stats.bound_provenance or 'local'} "
-                    f"updates_applied={stats.bound_updates_applied}"
-                )
+            if stats.bound_provenance is not None:
+                print(f"pruning bound: provenance={stats.bound_provenance}")
         return 0
     finally:
         tree.store.pager.close()
@@ -679,7 +650,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pager = tree.store.pager
     if args.shards > 0:
         from .server import (
-            DEFAULT_BOUND_INTERVAL,
             ShardedQueryService,
             ShardedTree,
             ShardSupervisor,
@@ -696,15 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         handles = make_shard_handles(partitions, n_bits, telemetry=telemetry)
         supervisor = ShardSupervisor(handles, telemetry=telemetry).start()
         service = ShardedQueryService(
-            ShardedTree(
-                handles, n_bits, telemetry=telemetry, router=router,
-                bound_sharing=not args.no_bound_sharing,
-                bound_interval=(
-                    args.bound_report_interval
-                    if args.bound_report_interval is not None
-                    else DEFAULT_BOUND_INTERVAL
-                ),
-            ),
+            ShardedTree(handles, n_bits, telemetry=telemetry, router=router),
             supervisor=supervisor,
             telemetry=telemetry,
             max_inflight=args.max_inflight,
@@ -729,9 +691,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = make_server(service, host=args.host, port=args.port)
         host, port = server.server_address[:2]
         sharding = (
-            f"shards={args.shards}("
-            f"{'no-' if args.no_bound_sharing else ''}bound-sharing)"
-            if args.shards > 0 else "single-tree"
+            f"shards={args.shards}" if args.shards > 0 else "single-tree"
         )
         print(
             f"serving {args.index} on http://{host}:{port}  "

@@ -19,7 +19,6 @@ are re-exported here for callers handling serving errors.
 """
 
 from ..errors import CircuitOpen, RetryExhausted, ShardError, ShardUnavailable
-from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
 from .http import ServingHTTPServer, make_server, serve_forever
 from .query import Query
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
@@ -59,9 +58,6 @@ __all__ = [
     "ShardedQueryService",
     "ShardSupervisor",
     "Coverage",
-    # cooperative cross-shard pruning
-    "GlobalBound",
-    "DEFAULT_BOUND_INTERVAL",
     # typed shard failures (defined in repro.errors)
     "ShardError",
     "ShardUnavailable",

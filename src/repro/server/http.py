@@ -80,7 +80,6 @@ def _stats_payload(stats: SearchStats) -> dict:
         "random_ios": stats.random_ios,
         "leaf_entries": stats.leaf_entries,
         "hit_ratio": stats.hit_ratio,
-        "bound_updates_applied": stats.bound_updates_applied,
         "bound_provenance": stats.bound_provenance,
     }
 

@@ -12,9 +12,8 @@ and answers with :meth:`Query.run`, which calls the matching
 paper: one traversal over one tree).  :meth:`Query.merge` folds the
 per-shard answers into the global one.
 
-Request context — deadline, stats, tracer, bound seed and bound
-channel — travels beside the query as keyword arguments, never inside
-it.
+Request context — deadline, stats, tracer and bound seed — travels
+beside the query as keyword arguments, never inside it.
 """
 
 from __future__ import annotations
@@ -163,12 +162,12 @@ class Query:
         return None
 
     def run(self, tree, stats=None, deadline=None, tracer=None,
-            initial_threshold: "float | None" = None, bound=None) -> list:
+            initial_threshold: "float | None" = None) -> list:
         """Answer on one tree (or pinned snapshot) with its query method.
 
         ``tracer`` reaches the single-query kinds; ``initial_threshold``
-        and ``bound`` reach the kNN kinds (a batch seeds every query
-        with the one threshold).
+        reaches the kNN kinds (a batch seeds every query with the one
+        threshold).
         """
         signatures = self.signatures(tree.n_bits)
         kind = self.kind
@@ -177,7 +176,6 @@ class Query:
                 signatures[0], k=self.k, metric=self.metric,
                 algorithm=self.algorithm, stats=stats, deadline=deadline,
                 tracer=tracer, initial_threshold=initial_threshold,
-                bound=bound,
             )
         if kind == "range":
             return tree.range_query(

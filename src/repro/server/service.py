@@ -70,18 +70,15 @@ def _stats_doc(stats: SearchStats) -> dict:
     property (accesses minus random I/Os) and the trace↔stats
     reconciliation needs it on the far side of a JSON boundary.
 
-    ``bound_updates_applied`` / ``bound_provenance`` surface cooperative
-    cross-shard pruning: how many mid-flight bound broadcasts tightened
-    this traversal, and whether the final threshold came from the local
-    heap, the pilot shard's seed, or a broadcast (``null`` when nothing
-    non-local ever bound the search).
+    ``bound_provenance`` surfaces cooperative cross-shard pruning:
+    ``"pilot"`` when the pilot shard's seed was the threshold in force
+    at the end, ``null`` when the local heap's own k-th distance was.
     """
     return {
         "node_accesses": stats.node_accesses,
         "random_ios": stats.random_ios,
         "leaf_entries": stats.leaf_entries,
         "buffer_hits": stats.buffer_hits,
-        "bound_updates_applied": stats.bound_updates_applied,
         "bound_provenance": stats.bound_provenance,
     }
 

@@ -50,7 +50,6 @@ import itertools
 import threading
 import time
 from bisect import bisect_left
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -72,7 +71,6 @@ from ..sgtree.bulkload import bulk_load, gray_sort_order, minhash_order
 from ..sgtree.search import Deadline, SearchStats
 from ..sgtree.tree import SGTree
 from ..telemetry.tracing import TraceContext
-from .bounds import DEFAULT_BOUND_INTERVAL, GlobalBound
 from .query import Query
 from .resilience import Backoff, CircuitBreaker, RetryPolicy
 from .service import QueryService, ServedQuery, _decode_cache_health, _stats_doc
@@ -261,7 +259,7 @@ def _build_shard_tree(n_bits: int, rows: "list[tuple[int, tuple[int, ...]]]",
     return bulk_load(transactions, n_bits, method="gray", **(tree_kwargs or {}))
 
 
-def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
+def _handle_request(tree: SGTree, request: dict) -> dict:
     """Execute one wire request against a shard tree.
 
     Returns a response dict: ``{"ok": True, "results": ..., "stats":
@@ -271,10 +269,8 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
     :class:`Deadline`, so an over-budget traversal aborts *inside the
     worker* too — a shard never burns CPU for a caller that has already
     given up; a sampled ``trace`` context turns on per-node tracing; a
-    kNN ``initial_threshold`` (the coordinator's k-th-distance seed) is
-    applied before the first node is visited, and ``bound`` may be the
-    request's :class:`_PipeBound` exchange channel, which the engines
-    poll every ``bound.interval`` node visits.
+    kNN ``initial_threshold`` (the pilot shard's k-th distance) is
+    applied before the first node is visited.
     """
     try:
         if request["op"] == "ping":
@@ -290,7 +286,7 @@ def _handle_request(tree: SGTree, request: dict, bound=None) -> dict:
         stats = SearchStats()
         results = query.run(
             tree, stats=stats, deadline=deadline, tracer=tracer,
-            initial_threshold=request.get("initial_threshold"), bound=bound,
+            initial_threshold=request.get("initial_threshold"),
         )
         response = {
             "ok": True,
@@ -341,70 +337,17 @@ class _PendingCall:
 # workers
 
 
-class _PipeBound:
-    """Worker-process side of the ``bound_report``/``bound_update``
-    exchange: publish the heap's top-k up the pipe, drain whatever the
-    coordinator pushed back, adopt the tightest threshold seen.
-
-    ``exchange`` never blocks — it polls with a zero timeout, so a slow
-    or silent coordinator costs the traversal nothing.  Pipelined
-    requests that arrive mid-drain are stashed for the worker main loop
-    (the pipe carries one interleaved stream); a ``bound_update`` for a
-    *different* request id belongs to a query this worker already
-    answered and is dropped — stale by definition, and staleness is
-    safe (DESIGN.md §13).
-    """
-
-    __slots__ = ("interval", "_conn", "_request_id", "_stash", "_latest")
-
-    def __init__(self, conn, request_id, interval: int, stash: deque):
-        self.interval = max(1, int(interval))
-        self._conn = conn
-        self._request_id = request_id
-        self._stash = stash
-        self._latest = float("inf")
-
-    def exchange(self, heap) -> float:
-        try:
-            self._conn.send({
-                "op": "bound_report", "id": self._request_id,
-                "threshold": heap.threshold, "pairs": heap.pairs(),
-            })
-            while self._conn.poll(0):
-                message = self._conn.recv()
-                if message.get("op") != "bound_update":
-                    self._stash.append(message)
-                    continue
-                if message.get("id") != self._request_id:
-                    continue
-                threshold = message.get("threshold")
-                if threshold is not None and threshold < self._latest:
-                    self._latest = threshold
-        except (EOFError, BrokenPipeError, OSError):
-            pass  # parent gone; the traversal finishes on local bounds
-        return self._latest
-
-
 def _process_worker_main(conn, build_tree, chaos) -> None:
     """Entry point of a shard process: build the tree, serve the pipe."""
     import os
 
     tree = build_tree()
-    stash: deque = deque()  # requests a mid-flight drain pulled off the pipe
     while True:
-        if stash:
-            request = stash.popleft()
-        else:
-            try:
-                request = conn.recv()
-            except (EOFError, OSError):
-                return
-        op = request.get("op")
-        if op == "bound_update":
-            # Raced a request that already answered; a stale bound is
-            # simply dropped.
-            continue
-        if op == "stop":
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request.get("op") == "stop":
             conn.send({"id": request.get("id"), "ok": True})
             return
         if chaos is not None:
@@ -413,11 +356,7 @@ def _process_worker_main(conn, build_tree, chaos) -> None:
                 os._exit(1)  # abrupt death, in-flight request abandoned
             if action == "latency":
                 time.sleep(chaos.plan.latency_seconds)
-        bound = None
-        interval = request.get("bound_interval")
-        if interval:
-            bound = _PipeBound(conn, request.get("id"), interval, stash)
-        response = _handle_request(tree, request, bound=bound)
+        response = _handle_request(tree, request)
         response["id"] = request.get("id")
         try:
             conn.send(response)
@@ -434,12 +373,6 @@ class ProcessShardWorker:
     desynchronising the pipe.  Process death surfaces as ``EOFError`` on
     the receiver, which fails every pending call fast with
     :class:`~repro.errors.ShardUnavailable`.
-
-    The receiver also terminates the cooperative-bound exchange: a
-    ``bound_report`` riding up the pipe is folded into the request's
-    registered :class:`~repro.server.bounds.GlobalBound` and answered
-    with a ``bound_update`` carrying the (possibly tighter) global
-    threshold.
 
     ``build_tree`` runs in the child, so a supervisor restart rebuilds
     the shard from source (which is also what heals a shard whose pager
@@ -476,7 +409,6 @@ class ProcessShardWorker:
         self._process.start()
         child_conn.close()
         self._pending: "dict[int, _PendingCall]" = {}
-        self._bounds: "dict[int, GlobalBound]" = {}
         self._lock = threading.Lock()
         self._closed = False
         self._receiver = threading.Thread(
@@ -489,8 +421,7 @@ class ProcessShardWorker:
     def is_alive(self) -> bool:
         return not self._closed and self._process.is_alive()
 
-    def submit(self, request: dict, bound: "GlobalBound | None" = None,
-               ) -> _PendingCall:
+    def submit(self, request: dict) -> _PendingCall:
         pending = _PendingCall()
         with self._lock:
             if not self.is_alive():
@@ -498,13 +429,10 @@ class ProcessShardWorker:
                     "worker process is down", shard_id=self.shard_id
                 )
             self._pending[request["id"]] = pending
-            if bound is not None:
-                self._bounds[request["id"]] = bound
             try:
                 self._conn.send(request)
             except (BrokenPipeError, OSError):
                 self._pending.pop(request["id"], None)
-                self._bounds.pop(request["id"], None)
                 raise ShardUnavailable(
                     "worker pipe is broken", shard_id=self.shard_id
                 ) from None
@@ -545,48 +473,18 @@ class ProcessShardWorker:
                 if self._closed:  # interpreter/service teardown race
                     break
                 raise
-            if response.get("op") == "bound_report":
-                self._fold_report(response)
-                continue
             with self._lock:
                 pending = self._pending.pop(response.get("id"), None)
-                self._bounds.pop(response.get("id"), None)
             if pending is not None:
                 pending.resolve(response)
         with self._lock:
             stranded = list(self._pending.values())
             self._pending.clear()
-            self._bounds.clear()
         for pending in stranded:
             pending.resolve({
                 "ok": False, "error": "ShardUnavailable",
                 "message": "worker process died",
             })
-
-    def _fold_report(self, report: dict) -> None:
-        """Fold one mid-flight report; push the global bound back down.
-
-        The worker's top-k *pairs* (not just its threshold) enter the
-        coordinator's candidate set, so whatever evidence backs the
-        pushed-down bound survives even if this process dies a moment
-        later.  A report for a request that already resolved (the
-        deadline expired, the caller gave up) finds no registered bound
-        and is dropped.
-        """
-        with self._lock:
-            bound = self._bounds.get(report.get("id"))
-        if bound is None:
-            return
-        threshold = bound.fold(report.get("pairs", ()), report=True)
-        update = {
-            "op": "bound_update", "id": report.get("id"),
-            "threshold": threshold,
-        }
-        try:
-            with self._lock:
-                self._conn.send(update)
-        except (BrokenPipeError, OSError):
-            pass  # worker gone; its pending call fails through _await
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +539,9 @@ class ShardHandle:
         self.state = "up"
         self.transactions: "int | None" = None
         self.decode_cache: "dict | None" = None
+        #: Whether this incarnation has answered a ping yet (it builds
+        #: its tree first, so a slow first answer is not a wedge).
+        self.answered = False
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         if telemetry is not None:
@@ -659,9 +560,7 @@ class ShardHandle:
     # -- the request path --------------------------------------------------
 
     def call(self, request: dict, deadline: "Deadline | None" = None,
-             trace=None, bound: "GlobalBound | None" = None,
-             bound_interval: int = DEFAULT_BOUND_INTERVAL,
-             role: "str | None" = None) -> dict:
+             trace=None, role: "str | None" = None) -> dict:
         """One resilient request; returns the worker's ``ok`` response.
 
         Raises :class:`~repro.errors.CircuitOpen`,
@@ -676,13 +575,9 @@ class ShardHandle:
         ``circuit_open``, and retry backoffs are timed by the retry
         policy itself.
 
-        ``bound`` arms cooperative pruning for a kNN call: the wire
-        request is seeded with the global threshold *at send time* (so a
-        retry after a worker crash re-seeds with whatever the bound has
-        tightened to since), ``bound_interval`` rides along as the
-        worker's exchange cadence, and the worker is wired up for
-        mid-flight reports.  ``role`` annotates this shard's ``rpc``
-        spans (``"pilot"`` for the home shard queried first).
+        ``role`` annotates this shard's ``rpc`` spans (``"pilot"`` for
+        the home shard queried first); a request seeded with the pilot's
+        ``initial_threshold`` records it as the span's ``bound_seed``.
         """
         telemetry = self.telemetry
         label = str(self.shard_id)
@@ -711,10 +606,7 @@ class ShardHandle:
             with _span(trace, "rpc", shard=self.shard_id, **span_attrs) as span:
                 started = time.perf_counter()
                 try:
-                    response = self._attempt_once(
-                        request, deadline, bound=bound,
-                        bound_interval=bound_interval, span=span,
-                    )
+                    response = self._attempt_once(request, deadline, span)
                 except BaseException as exc:
                     if span is not None:
                         span.attrs["outcome"] = type(exc).__name__
@@ -755,8 +647,6 @@ class ShardHandle:
         )
 
     def _attempt_once(self, request: dict, deadline: "Deadline | None",
-                      bound: "GlobalBound | None" = None,
-                      bound_interval: int = DEFAULT_BOUND_INTERVAL,
                       span=None) -> dict:
         worker = self.worker
         if worker is None or not worker.is_alive():
@@ -765,16 +655,10 @@ class ShardHandle:
         wire["id"] = next(self._ids)
         if deadline is not None:
             wire["budget"] = deadline.remaining()
-        if bound is not None:
-            wire["bound_interval"] = bound_interval
-            seed = bound.threshold
-            if seed != float("inf"):
-                # The freshest global k-th distance at send time; the
-                # shard starts pre-tightened instead of rediscovering it.
-                wire["initial_threshold"] = seed
-                if span is not None:
-                    span.attrs["bound_seed"] = round(seed, 6)
-        pending = worker.submit(wire, bound)
+        seed = wire.get("initial_threshold")
+        if seed is not None and span is not None:
+            span.attrs["bound_seed"] = round(seed, 6)
+        pending = worker.submit(wire)
         response = self._await(pending, worker, deadline)
         if not response.get("ok"):
             error = response.get("error", "unknown")
@@ -837,6 +721,7 @@ class ShardHandle:
             response = pending.wait(POLL_INTERVAL)
             if response is not None:
                 if response.get("ok"):
+                    self.answered = True
                     self.transactions = response.get("transactions")
                     self.decode_cache = response.get("decode_cache")
                     return response
@@ -857,6 +742,7 @@ class ShardHandle:
                     pass
             self.incarnation += 1
             self.restarts += 1
+            self.answered = False
             self.worker = self.factory(self.incarnation)
             self.breaker.reset()
             self.state = "up"
@@ -864,6 +750,11 @@ class ShardHandle:
                 self.telemetry.shard_restarts_total.labels(
                     shard=str(self.shard_id)
                 ).inc()
+
+    def building(self) -> bool:
+        """A live worker that has not answered its first ping yet."""
+        worker = self.worker
+        return not self.answered and worker is not None and worker.is_alive()
 
     def is_up(self) -> bool:
         worker = self.worker
@@ -987,34 +878,25 @@ class ShardedTree:
     :class:`~repro.errors.CircuitOpen` when every breaker is open,
     :class:`~repro.errors.ShardUnavailable` otherwise).
 
-    kNN queries prune **cooperatively** (``bound_sharing``, on by
-    default): one :class:`~repro.server.bounds.GlobalBound` per query
-    collects every shard's evidence; when a ``router`` (from
-    :func:`partition_routed`) is attached the query's home shard runs
-    first as the *pilot* and its k-th distance seeds everyone else's
-    traversal; shards exchange mid-flight reports every
-    ``bound_interval`` node visits.  Merged results stay bit-identical
-    to the single-tree engine — the bound only ever drops work the
-    final answer provably cannot contain (see ``docs/serving.md`` and
-    DESIGN.md §13).
+    kNN queries prune **cooperatively** when a ``router`` (from
+    :func:`partition_routed`) is attached: the query's home shard runs
+    first as the *pilot*, and when it answers with k hits their k-th
+    distance rides every other shard's request as ``initial_threshold``.
+    Without a router every shard prunes on its own k-th distance and
+    the answers merge at the end.  Merged results stay bit-identical to
+    the single-tree engine — the seed is the pilot's exact k-th
+    distance, at least the global one, and the pilot's answer is merged
+    (see ``docs/serving.md`` and DESIGN.md §13).
     """
 
     def __init__(self, handles: "Sequence[ShardHandle]", n_bits: int,
-                 telemetry=None, router: "ShardRouter | None" = None,
-                 bound_sharing: bool = True,
-                 bound_interval: int = DEFAULT_BOUND_INTERVAL):
+                 telemetry=None, router: "ShardRouter | None" = None):
         if not handles:
             raise ValueError("a sharded tree needs at least one shard")
-        if bound_interval < 1:
-            raise ValueError(
-                f"bound_interval must be >= 1, got {bound_interval}"
-            )
         self.handles = list(handles)
         self.n_bits = n_bits
         self.telemetry = telemetry
         self.router = router
-        self.bound_sharing = bound_sharing
-        self.bound_interval = bound_interval
         self._pool = ThreadPoolExecutor(
             max_workers=len(self.handles), thread_name_prefix="sgtree-scatter"
         )
@@ -1036,7 +918,6 @@ class ShardedTree:
 
     def _scatter_to(self, handles: "Sequence[ShardHandle]", request: dict,
                     deadline: "Deadline | None", trace=None,
-                    bound: "GlobalBound | None" = None,
                     ) -> "tuple[dict[int, dict], dict[int, str]]":
         """Send ``request`` to ``handles``; gather within the deadline.
 
@@ -1044,17 +925,11 @@ class ShardedTree:
         rides along it is handed to every :meth:`ShardHandle.call` (per-
         attempt ``rpc`` spans), the whole fan-out is timed as one
         ``scatter`` span, and each shard's shipped-back visit-span tree
-        is stitched into the trace as it arrives.  When ``bound`` is
-        armed each arriving kNN response is folded into it immediately,
-        so a fast shard's answer tightens the bound the slow shards'
-        next mid-flight exchange picks up.
+        is stitched into the trace as it arrives.
         """
         with _span(trace, "scatter", shards=len(handles)) as span:
             futures = {
-                self._pool.submit(
-                    handle.call, request, deadline, trace,
-                    bound=bound, bound_interval=self.bound_interval,
-                ): handle
+                self._pool.submit(handle.call, request, deadline, trace): handle
                 for handle in handles
             }
             answered: "dict[int, dict]" = {}
@@ -1083,8 +958,6 @@ class ShardedTree:
                         errors[handle.shard_id] = f"{type(exc).__name__}: {exc}"
                         continue
                     answered[handle.shard_id] = response
-                    if bound is not None:
-                        bound.fold(response.get("results") or ())
                     _attach_shard_trace(trace, handle.shard_id, response)
             for future in outstanding:
                 # Deadline ran out first; the handle's own bounded wait
@@ -1127,7 +1000,6 @@ class ShardedTree:
             stats.node_accesses += row.get("node_accesses", 0)
             stats.random_ios += row.get("random_ios", 0)
             stats.leaf_entries += row.get("leaf_entries", 0)
-            stats.bound_updates_applied += row.get("bound_updates_applied", 0)
 
     def query(self, query: Query, stats: "SearchStats | None" = None,
               deadline: "Deadline | None" = None, trace=None,
@@ -1137,80 +1009,59 @@ class ShardedTree:
         Scatters the query's wire dict, gathers within the deadline and
         folds the answers with :meth:`Query.merge`; ``stats`` sums the
         shards' traffic.  Cooperative kNN (see the class docstring)
-        asks the pilot shard first, then merges the responses *and* the
-        bound's salvaged candidates — evidence a shard reported before
-        dying stays in the answer, so a dead shard's bound can never
-        over-tighten the survivors' merged result.
+        asks the pilot shard first and seeds the rest with its k-th
+        distance; a pilot that fails or holds fewer than k hits leaves
+        the rest unseeded.  ``stats.bound_provenance`` reads ``"pilot"``
+        when the seed was the bound in force at the end of some shard's
+        traversal.
         """
         request = query.to_wire()
         if trace is not None:
             request["trace"] = trace.context().to_wire()
         responses: "dict[int, dict]" = {}
         errors: "dict[int, str]" = {}
-        bound = pilot = None
-        if query.kind == "knn" and self.bound_sharing:
-            bound = GlobalBound(query.k)
-            if self.router is not None and len(self.handles) > 1:
-                pilot_id = self.router.route(query.signatures(self.n_bits)[0])
-                pilot = next(
-                    (h for h in self.handles if h.shard_id == pilot_id), None
-                )
+        pilot = None
+        if query.kind == "knn" and self.router is not None \
+                and len(self.handles) > 1:
+            pilot_id = self.router.route(query.signatures(self.n_bits)[0])
+            pilot = next(
+                (h for h in self.handles if h.shard_id == pilot_id), None
+            )
         if pilot is not None:
             with _span(trace, "pilot", shard=pilot.shard_id):
                 try:
-                    response = pilot.call(
-                        request, deadline, trace, bound=bound,
-                        bound_interval=self.bound_interval, role="pilot",
-                    )
+                    response = pilot.call(request, deadline, trace, role="pilot")
                 except Exception as exc:  # noqa: BLE001 - per-shard detail
                     errors[pilot.shard_id] = f"{type(exc).__name__}: {exc}"
                 else:
                     responses[pilot.shard_id] = response
-                    bound.fold(response.get("results") or (), source="pilot")
                     _attach_shard_trace(trace, pilot.shard_id, response)
+                    hits = response["results"]
+                    if len(hits) >= query.k:
+                        request["initial_threshold"] = max(d for d, _ in hits)
         rest = [h for h in self.handles if h is not pilot]
-        answered, failed = self._scatter_to(
-            rest, request, deadline, trace, bound
-        )
+        answered, failed = self._scatter_to(rest, request, deadline, trace)
         responses.update(answered)
         errors.update(failed)
         if not responses:
             self._raise_total_failure(errors, deadline)
         self._merge_stats(responses, stats)
-        answers = [response["results"] for response in responses.values()]
-        if bound is not None:
-            # Salvage: candidates the bound holds from shards that died
-            # after reporting — true distances, merged like any answer.
-            answers.append(bound.candidates())
         with _span(trace, "merge", op=query.kind):
-            merged = query.merge(answers)
-        if bound is not None:
-            if stats is not None:
-                # Coordinator-level provenance: where the final threshold
-                # that pruned this query came from (per-shard provenance
-                # still travels in each response's stats doc).
-                stats.bound_provenance = bound.source
-            self._observe_bound(bound, stats)
-        return merged, Coverage(len(self.handles), len(responses), errors)
-
-    def _observe_bound(self, bound: GlobalBound,
-                       stats: "SearchStats | None") -> None:
-        telemetry = self.telemetry
-        if telemetry is None:
-            return
-        if bound.reports:
-            telemetry.bound_reports_total.inc(bound.reports)
-        if bound.tightenings:
-            telemetry.bound_tightenings_total.labels(
-                source=bound.source or "local"
-            ).inc(bound.tightenings)
-        telemetry.bound_provenance_total.labels(
-            source=bound.source or "local"
-        ).inc()
-        if stats is not None:
-            telemetry.bound_updates_per_query.observe(
-                stats.bound_updates_applied
+            merged = query.merge(
+                [response["results"] for response in responses.values()]
             )
+        if query.kind == "knn":
+            seed_bound = any(
+                (response.get("stats") or {}).get("bound_provenance")
+                == "pilot" for response in answered.values()
+            )
+            if seed_bound and stats is not None:
+                stats.bound_provenance = "pilot"
+            if self.telemetry is not None:
+                self.telemetry.bound_provenance_total.labels(
+                    source="pilot" if seed_bound else "local"
+                ).inc()
+        return merged, Coverage(len(self.handles), len(responses), errors)
 
     def close(self) -> None:
         self._pool.shutdown(wait=False)

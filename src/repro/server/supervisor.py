@@ -2,10 +2,12 @@
 
 :class:`ShardSupervisor` owns the lifecycle of a set of
 :class:`~repro.server.shard.ShardHandle` objects.  A background monitor
-thread probes every shard at ``probe_interval``; a shard that is dead or
-stops answering pings is restarted with bounded exponential backoff plus
-jitter (one independent :class:`~repro.server.resilience.Backoff` per
-shard, so two crashed shards do not thunder back in lockstep).
+thread probes every shard at ``probe_interval``; a shard that is dead, or
+stops answering pings after its first answer, is restarted with bounded
+exponential backoff plus jitter (one independent
+:class:`~repro.server.resilience.Backoff` per shard, so two crashed
+shards do not thunder back in lockstep).  A live worker still building
+its tree before that first answer is left to finish.
 
 Restarts are budgeted: at most ``storm_budget`` restarts per shard
 within a ``storm_window`` sliding window.  A shard that keeps dying past
@@ -117,6 +119,10 @@ class ShardSupervisor:
                 continue
             if handle.probe(timeout=self.probe_timeout) is not None:
                 self._consecutive[handle.shard_id] = 0
+                continue
+            if handle.building():
+                # Still building its tree: a probe timeout counts only
+                # once this incarnation has answered once.
                 continue
             if self._restart(handle):
                 restarted.append(handle.shard_id)

@@ -132,10 +132,8 @@ class SearchStats:
     node_accesses: int = 0
     random_ios: int = 0
     leaf_entries: int = 0
-    #: external (pilot-seed / broadcast) bound tightenings applied.
-    bound_updates_applied: int = 0
-    #: where the final pruning threshold came from when it was not the
-    #: query's own k-th distance: ``"pilot"`` or ``"broadcast"``.
+    #: ``"pilot"`` when an ``initial_threshold`` seed, not the query's
+    #: own k-th distance, was the pruning bound in force at the end.
     #: ``None`` means local (or not a kNN traversal).
     bound_provenance: "str | None" = None
 
@@ -163,7 +161,6 @@ class SearchStats:
         self.node_accesses += other.node_accesses
         self.random_ios += other.random_ios
         self.leaf_entries += other.leaf_entries
-        self.bound_updates_applied += other.bound_updates_applied
         if self.bound_provenance is None:
             self.bound_provenance = other.bound_provenance
 
@@ -456,18 +453,15 @@ class KnnHeap:
     distances, ties included).
 
     The heap can start *pre-tightened*: ``initial_threshold`` caps the
-    pruning threshold before the first candidate arrives, and
-    :meth:`tighten` lowers the cap mid-traversal (a broadcast global
-    bound).  Candidates strictly above the cap are rejected — ties at
-    the cap are admitted, mirroring the strict pruning rule — so a
-    seeded search returns exactly the candidates of the unseeded top-k
-    whose distance is ``<= cap``: a prefix filter, never a reordering.
+    pruning threshold before the first candidate arrives (a sharded
+    coordinator's pilot seed).  Candidates strictly above the cap are
+    rejected — ties at the cap are admitted, mirroring the strict
+    pruning rule — so a seeded search returns exactly the candidates of
+    the unseeded top-k whose distance is ``<= cap``: a prefix filter,
+    never a reordering.
     A cap that is at least the true global k-th distance therefore
     never changes a merged multi-shard top-k.
     """
-
-    #: where the currently binding cap came from (``local`` = own k-th).
-    _SOURCES = ("local", "pilot", "broadcast")
 
     def __init__(self, k: int, initial_threshold: "float | None" = None):
         if k < 1:
@@ -476,7 +470,6 @@ class KnnHeap:
         self._heap: list[tuple[float, int]] = []  # (-distance, -tid); root = worst
         if initial_threshold is None:
             self._cap = float("inf")
-            self._cap_source = "local"
         else:
             cap = float(initial_threshold)
             if cap != cap or cap < 0:  # NaN-safe: NaN != NaN
@@ -485,9 +478,6 @@ class KnnHeap:
                     f"got {initial_threshold!r}"
                 )
             self._cap = cap
-            self._cap_source = "pilot" if cap != float("inf") else "local"
-        #: external tightenings applied via :meth:`tighten` (seed excluded).
-        self.updates_applied = 0
 
     @property
     def threshold(self) -> float:
@@ -505,28 +495,13 @@ class KnnHeap:
 
     @property
     def provenance(self) -> str:
-        """Which bound is pruning right now: local k-th, pilot seed, or
-        a mid-flight broadcast update."""
-        if len(self._heap) >= self.k and -self._heap[0][0] <= self._cap:
+        """Which bound is pruning right now: the local k-th distance or
+        the pilot seed."""
+        if self._cap == float("inf") or (
+            len(self._heap) >= self.k and -self._heap[0][0] <= self._cap
+        ):
             return "local"
-        return self._cap_source
-
-    def tighten(self, threshold: float) -> None:
-        """Lower the external cap (monotone; looser values are ignored).
-
-        Safe whenever ``threshold`` is an upper bound on the final
-        global k-th distance — see the prefix-filter argument in the
-        class docstring.  NaN compares false everywhere and is ignored.
-        """
-        if threshold < self._cap:
-            self._cap = threshold
-            self._cap_source = "broadcast"
-            self.updates_applied += 1
-
-    def pairs(self) -> "list[tuple[float, int]]":
-        """Current contents as plain ``(distance, tid)`` pairs, unordered
-        (the picklable payload of a mid-flight bound report)."""
-        return [(-d, -t) for d, t in self._heap]
+        return "pilot"
 
     def _worst(self) -> tuple[float, int]:
         """The current k-th ``(distance, tid)`` pair (heap must be full)."""
@@ -567,14 +542,10 @@ _KnnHeap = KnnHeap  # historical internal name
 
 
 def _flush_bound_stats(stats: "SearchStats | None", best: KnnHeap) -> None:
-    """Record a finished heap's external-bound accounting on the stats."""
-    if stats is None:
-        return
-    stats.bound_updates_applied += best.updates_applied
-    if stats.bound_provenance is None:
-        provenance = best.provenance
-        if provenance != "local":
-            stats.bound_provenance = provenance
+    """Record on the stats whether the seed bound a finished heap."""
+    if stats is not None and stats.bound_provenance is None:
+        if best.provenance == "pilot":
+            stats.bound_provenance = "pilot"
 
 
 def knn_depth_first(
@@ -587,7 +558,6 @@ def knn_depth_first(
     tracer=None,
     deadline: "Deadline | None" = None,
     initial_threshold: "float | None" = None,
-    bound=None,
 ) -> list[Neighbor]:
     """Figure 4: depth-first branch-and-bound k-NN.
 
@@ -598,25 +568,13 @@ def knn_depth_first(
 
     ``initial_threshold`` pre-tightens the heap (see :class:`KnnHeap`):
     the result is the unseeded top-k filtered to ``distance <= seed``.
-    ``bound`` is an optional mid-flight bound channel — any object with
-    an ``interval`` (node visits between exchanges) and an
-    ``exchange(heap) -> float`` method that publishes the heap's current
-    state and returns the latest global threshold; the traversal applies
-    it via :meth:`KnnHeap.tighten` at the per-visit deadline checkpoint.
     """
     with _StatsScope(store, stats) as active:
         best = KnnHeap(k, initial_threshold=initial_threshold)
-        interval = bound.interval if bound is not None else 0
-        visits = 0
 
         def visit(page_id: PageId, parent=None) -> None:
-            nonlocal visits
             if deadline is not None:
                 deadline.check()
-            if bound is not None:
-                visits += 1
-                if visits % interval == 0:
-                    best.tighten(bound.exchange(best))
             if tracer is None:
                 span, node = None, store.read(page_id)
             else:
@@ -673,7 +631,6 @@ def knn_best_first(
     stats: SearchStats | None = None,
     deadline: "Deadline | None" = None,
     initial_threshold: "float | None" = None,
-    bound=None,
 ) -> list[Neighbor]:
     """Best-first k-NN with a global priority queue (I/O-optimal).
 
@@ -681,16 +638,13 @@ def knn_best_first(
     individual transactions; a transaction popped from the queue is final
     because its exact distance is its priority.
 
-    ``initial_threshold`` / ``bound`` behave as in
-    :func:`knn_depth_first`: the queue is popped in ascending-bound
-    order, so the traversal simply stops at the first item whose bound
-    strictly exceeds the (possibly externally tightened) threshold —
-    everything still queued is at least as far.
+    ``initial_threshold`` behaves as in :func:`knn_depth_first`: the
+    queue is popped in ascending-bound order, so the traversal simply
+    stops at the first item whose bound strictly exceeds the (possibly
+    seeded) threshold — everything still queued is at least as far.
     """
     with _StatsScope(store, stats) as active:
         best = KnnHeap(k, initial_threshold=initial_threshold)
-        interval = bound.interval if bound is not None else 0
-        visits = 0
         counter = itertools.count()  # tie-break to keep tuples comparable
         queue: list[tuple[float, int, int, bool, int]] = []
         heapq.heappush(queue, (0.0, 0, next(counter), True, root_id))
@@ -705,10 +659,6 @@ def knn_best_first(
                 continue
             if deadline is not None:
                 deadline.check()
-            if bound is not None:
-                visits += 1
-                if visits % interval == 0:
-                    best.tighten(bound.exchange(best))
             node = store.read(ref)
             n_entries = len(node)
             if not n_entries:
@@ -1244,7 +1194,6 @@ def knn(
     stats: SearchStats | None = None,
     deadline: "Deadline | None" = None,
     initial_threshold: "float | None" = None,
-    bound=None,
 ) -> list[Neighbor]:
     """Dispatch to a k-NN algorithm by name."""
     try:
@@ -1256,7 +1205,7 @@ def knn(
         ) from None
     return impl(
         store, root_id, query, k, metric, stats=stats, deadline=deadline,
-        initial_threshold=initial_threshold, bound=bound,
+        initial_threshold=initial_threshold,
     )
 
 

@@ -347,7 +347,6 @@ class SGTree:
         deadline: "_search.Deadline | None" = None,
         tracer=None,
         initial_threshold: "float | None" = None,
-        bound=None,
     ) -> list["_search.Neighbor"]:
         """The ``k`` nearest transactions to ``query`` (Section 4.1).
 
@@ -361,9 +360,9 @@ class SGTree:
 
         ``initial_threshold`` pre-tightens the k-NN pruning bound (the
         result is the unseeded top-k filtered to ``distance <= seed``;
-        see :class:`~repro.sgtree.search.KnnHeap`); ``bound`` attaches
-        a mid-flight bound channel — both are how a sharded coordinator
-        shares its global k-th-distance bound with this traversal.
+        see :class:`~repro.sgtree.search.KnnHeap`) — how a sharded
+        coordinator hands its pilot shard's k-th distance to this
+        traversal.
         """
         metric = self.metric if metric is None else resolve_metric(metric)
         if tracer is not None:
@@ -375,12 +374,12 @@ class SGTree:
             return self._timed("knn", stats, lambda s: _search.knn_depth_first(
                 self._store, self._root_id, query, k, metric,
                 stats=s, tracer=tracer, deadline=deadline,
-                initial_threshold=initial_threshold, bound=bound,
+                initial_threshold=initial_threshold,
             ))
         return self._timed("knn", stats, lambda s: _search.knn(
             self._store, self._root_id, query, k, metric,
             algorithm=algorithm, stats=s, deadline=deadline,
-            initial_threshold=initial_threshold, bound=bound,
+            initial_threshold=initial_threshold,
         ))
 
     def batch_nearest(

@@ -232,28 +232,12 @@ class Telemetry:
             "sgtree_shards_up",
             "Shards currently up (alive worker, breaker not open)",
         )
-        # Cooperative cross-shard pruning instruments (pushed per kNN
-        # query by the ShardedTree coordinator).
-        self.bound_reports_total = reg.counter(
-            "sgtree_bound_reports_total",
-            "Mid-flight k-th-distance bound reports folded by the "
-            "coordinator",
-        )
-        self.bound_tightenings_total = reg.counter(
-            "sgtree_bound_tightenings_total",
-            "Global-bound tightenings at the coordinator, by the final "
-            "threshold's provenance", ("source",),
-        )
+        # Cooperative cross-shard pruning (pushed per kNN query by the
+        # ShardedTree coordinator).
         self.bound_provenance_total = reg.counter(
             "sgtree_bound_provenance_total",
-            "Cooperative kNN queries, by final-threshold provenance "
-            "(local/pilot/broadcast)", ("source",),
-        )
-        self.bound_updates_per_query = reg.histogram(
-            "sgtree_bound_updates_per_query",
-            "Broadcast bound updates applied inside shard traversals, "
-            "per query",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+            "Sharded kNN queries, by final-threshold provenance "
+            "(local/pilot)", ("source",),
         )
 
     def emit(self, event_type: str, **fields: object) -> dict:

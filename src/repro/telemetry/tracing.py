@@ -337,16 +337,10 @@ class ExplainReport:
             f"leaf_entries={self.stats.leaf_entries}",
         ]
         provenance = getattr(self.stats, "bound_provenance", None)
-        updates = getattr(self.stats, "bound_updates_applied", 0)
-        if provenance is not None or updates:
-            # Where the pruning threshold came from: "local" means the
-            # heap's own k-th distance did all the work; "pilot" means
-            # an initial seed bound the search; "broadcast" means a
-            # mid-flight bound update tightened it further.
-            lines.append(
-                f"pruning bound: provenance={provenance or 'local'} "
-                f"updates_applied={updates}"
-            )
+        if provenance is not None:
+            # "pilot": an initial seed, not the heap's own k-th
+            # distance, was the pruning threshold when the search ended.
+            lines.append(f"pruning bound: provenance={provenance}")
         lines.append(
             f"trace reconciles with stats: {'yes' if reconciled else 'NO'}"
         )

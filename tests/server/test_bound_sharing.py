@@ -1,17 +1,14 @@
-"""Cooperative cross-shard pruning: equivalence and dead-shard safety.
+"""Cooperative cross-shard pruning: equivalence and dead-pilot safety.
 
-The sharded coordinator with bound sharing (pilot routing + mid-flight
-``bound_report``/``bound_update`` exchange) must return *exactly* the
-single-tree engine's answer — ids, distances, and ``(distance, tid)``
-tie order — for every metric.  And a
-shard that dies after publishing a tight bound must never cost the
-merged answer anything: whatever candidates justified its bound are
-salvaged into the result (DESIGN.md §13).
+The sharded coordinator with pilot routing (the home shard answers
+first; its k-th distance seeds every other shard's request) must return
+*exactly* the single-tree engine's answer — ids, distances, and
+``(distance, tid)`` tie order — for every metric.  A pilot that dies
+mid-call seeds nothing: the rest run unseeded and the merged answer is
+exact over the shards that answered (DESIGN.md §13).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ import pytest
 from repro import COSINE, DICE, HAMMING, JACCARD, OVERLAP, SGTree
 from repro.errors import ShardUnavailable
 from repro.server import (
-    GlobalBound,
     Query,
     ShardedTree,
     make_shard_handles,
@@ -52,62 +48,6 @@ def reference(transactions):
 def queries():
     rng = np.random.default_rng(902)
     return [random_signature(rng, N_BITS, max_items=12) for _ in range(15)]
-
-
-class TestGlobalBound:
-    def test_threshold_is_inf_until_k_candidates(self):
-        bound = GlobalBound(3)
-        assert bound.threshold == math.inf
-        bound.fold([(0.5, 1), (0.25, 2)])
-        assert bound.threshold == math.inf
-        bound.fold([(0.75, 3)])
-        assert bound.threshold == 0.75
-
-    def test_threshold_is_monotone_under_any_fold_order(self):
-        bound = GlobalBound(2)
-        seen = math.inf
-        rng = np.random.default_rng(7)
-        for tid in range(40):
-            bound.fold([(float(rng.uniform(0, 1)), tid)])
-            assert bound.threshold <= seen
-            seen = bound.threshold
-
-    def test_duplicate_tids_keep_their_best_distance(self):
-        bound = GlobalBound(2)
-        bound.fold([(0.9, 1), (0.8, 2)])
-        bound.fold([(0.3, 1)])  # same tid, now closer
-        assert bound.threshold == 0.8
-        assert bound.candidates() == [(0.3, 1), (0.8, 2)]
-        bound.fold([(0.5, 1)])  # same tid, worse: ignored
-        assert bound.candidates() == [(0.3, 1), (0.8, 2)]
-
-    def test_candidates_prune_to_the_best_k(self):
-        bound = GlobalBound(2)
-        bound.fold([(0.1, 1), (0.2, 2), (0.3, 3), (0.4, 4)])
-        assert bound.candidates() == [(0.1, 1), (0.2, 2)]
-        assert bound.threshold == 0.2
-
-    def test_source_tracks_the_binding_fold(self):
-        bound = GlobalBound(1)
-        assert bound.source is None
-        bound.fold([(0.5, 1)], source="pilot")
-        assert bound.source == "pilot"
-        bound.fold([(0.9, 2)])  # looser: does not bind
-        assert bound.source == "pilot"
-        bound.fold([(0.2, 3)], source="broadcast")
-        assert bound.source == "broadcast"
-
-    def test_report_counter_and_tightenings(self):
-        bound = GlobalBound(1)
-        bound.fold([(0.5, 1)], report=True)
-        bound.fold([(0.5, 1)], report=True)  # no-op fold still a report
-        bound.fold([(0.1, 2)])
-        assert bound.reports == 2
-        assert bound.tightenings == 2
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="k"):
-            GlobalBound(0)
 
 
 class TestShardRouter:
@@ -158,7 +98,7 @@ class TestShardRouter:
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=METRIC_IDS)
 class TestCooperativeEquivalence:
-    """Sharded-with-bound-sharing ≡ single tree, exact tie order."""
+    """Sharded-with-pilot-routing ≡ single tree, exact tie order."""
 
     def test_thread_mode_bit_identical(
         self, transactions, reference, queries, metric
@@ -166,9 +106,7 @@ class TestCooperativeEquivalence:
         """Process shards answer bit-identically for every metric."""
         partitions, router = partition_routed(transactions, N_SHARDS)
         handles = make_shard_handles(partitions, N_BITS)
-        sharded = ShardedTree(
-            handles, N_BITS, router=router, bound_interval=4
-        )
+        sharded = ShardedTree(handles, N_BITS, router=router)
         try:
             stats = SearchStats()
             for query in queries:
@@ -187,25 +125,32 @@ class TestCooperativeProcessMode:
     def test_process_mode_bit_identical_with_updates(
         self, transactions, reference, queries
     ):
-        """The wire protocol (bound_report up / bound_update down) ends
-        at the same answer, and the broadcast actually lands."""
+        """The seed crosses the pipe as the wire request's
+        ``initial_threshold`` and the merge ends at the same answer."""
         partitions, router = partition_routed(transactions, N_SHARDS)
         handles = make_shard_handles(partitions, N_BITS)
-        sharded = ShardedTree(
-            handles, N_BITS, router=router, bound_interval=2
-        )
+        sharded = ShardedTree(handles, N_BITS, router=router)
+        seeds = []
+        for handle in handles:
+            submit = handle.worker.submit
+
+            def recording(request, submit=submit):
+                if request.get("op") == "knn":
+                    seeds.append(request.get("initial_threshold"))
+                return submit(request)
+
+            handle.worker.submit = recording
         try:
-            stats = SearchStats()
             for query in queries:
                 expected = reference.nearest(query, k=K)
                 merged, coverage = sharded.query(
-                    Query("knn", query.items(), k=K), stats=stats
+                    Query("knn", query.items(), k=K)
                 )
                 assert not coverage.partial
                 assert merged == expected
-            # bound_updates_applied aggregates over the per-shard stats
-            # docs, proving updates crossed the pipe and tightened heaps.
-            assert stats.bound_updates_applied >= 0
+            # One unseeded pilot request and N-1 seeded ones per query.
+            assert seeds.count(None) == len(queries)
+            assert len(seeds) == N_SHARDS * len(queries)
         finally:
             sharded.close()
 
@@ -241,9 +186,10 @@ class TestCooperativeProcessMode:
     def test_bound_sharing_off_matches_too(
         self, transactions, reference, queries
     ):
+        """No router: every shard runs unseeded, merged at the end."""
         partitions, _ = partition_routed(transactions, N_SHARDS)
         handles = make_shard_handles(partitions, N_BITS)
-        sharded = ShardedTree(handles, N_BITS, bound_sharing=False)
+        sharded = ShardedTree(handles, N_BITS)
         try:
             for query in queries:
                 expected = reference.nearest(query, k=K)
@@ -254,100 +200,80 @@ class TestCooperativeProcessMode:
 
 
 class TestDeadShardSafety:
-    """A shard dying *after* its evidence tightened the global bound
-    must never over-tighten the survivors: the salvage merge keeps the
-    candidates that justified the bound."""
+    """A pilot that dies mid-call seeds nothing: the other shards run
+    unseeded, and the merged answer is exact over the survivors."""
 
-    def _sharded_with_a_dying_shard(self, transactions, dead_index):
-        partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS)
-        dead = handles[dead_index]
-        dead_tree = SGTree(N_BITS, max_entries=8)
-        dead_tree.insert_many(partitions[dead_index])
-
-        def dying_call(request, deadline=None, trace=None, bound=None, **kw):
-            # The worker found its true top-k and reported it mid-flight
-            # (tightening the coordinator's bound), then crashed before
-            # returning its response.
-            if bound is not None and request.get("op") == "knn":
-                from repro import Signature
-                query = Signature.from_items(request["items"], N_BITS)
-                hits = dead_tree.nearest(query, k=request["k"])
-                bound.fold(
-                    [(n.distance, n.tid) for n in hits], report=True
-                )
-            raise ShardUnavailable("died mid-flight", shard_id=dead.shard_id)
-
-        dead.call = dying_call
-        survivors = []
-        for i, part in enumerate(partitions):
-            if i == dead_index:
-                continue
-            tree = SGTree(N_BITS, max_entries=8)
-            tree.insert_many(part)
-            survivors.append(tree)
-        sharded = ShardedTree(handles, N_BITS, router=router)
-        return sharded, dead_tree, survivors, dead.shard_id
-
-    def test_salvage_keeps_the_dead_shards_evidence(
+    def test_dead_pilot_mid_call_leaves_the_rest_unseeded_and_exact(
         self, transactions, reference, queries
     ):
-        sharded, dead_tree, survivors, dead_id = \
-            self._sharded_with_a_dying_shard(transactions, dead_index=1)
+        partitions, router = partition_routed(transactions, N_SHARDS)
+        handles = make_shard_handles(partitions, N_BITS)
+        seeds = []
+        for handle in handles:
+            call = handle.call
+
+            def dying_pilot(request, *args, call=call, handle=handle, **kw):
+                # Whichever shard the router picks dies mid-call as
+                # the pilot and answers normally as a scatter target.
+                if kw.get("role") == "pilot":
+                    raise ShardUnavailable(
+                        "died mid-call", shard_id=handle.shard_id
+                    )
+                seeds.append(request.get("initial_threshold"))
+                return call(request, *args, **kw)
+
+            handle.call = dying_pilot
+        sharded = ShardedTree(handles, N_BITS, router=router)
         try:
             for query in queries:
+                pilot_id = router.route(query)
+                del seeds[:]
                 merged, coverage = sharded.query(
                     Query("knn", query.items(), k=K)
                 )
-                # Coverage is accurate: exactly one shard errored.
+                # Coverage is accurate: exactly the pilot errored.
                 assert coverage.partial
                 assert coverage.answered == N_SHARDS - 1
-                assert set(coverage.errors) == {dead_id}
-                # The merged answer is exactly the top-k over the
-                # survivors' full partitions plus the dead shard's
-                # salvaged top-k: the bound it broadcast before dying
-                # removed nothing a survivor could have contributed.
-                pool = {
-                    (n.distance, n.tid)
-                    for tree in survivors
-                    for n in tree.nearest(query, k=K)
-                }
-                pool |= {
-                    (n.distance, n.tid)
-                    for n in dead_tree.nearest(query, k=K)
-                }
-                expected = sorted(pool)[:K]
-                assert [(n.distance, n.tid) for n in merged] == expected
-                # Every salvaged distance is a true distance: the pair
-                # exists in the full-collection ranking.
+                assert set(coverage.errors) == {pilot_id}
+                # Nothing seeded the rest ...
+                assert seeds == [None] * (N_SHARDS - 1)
+                # ... so the answer is the single tree's over their
+                # union, tie order included.
+                survivors = SGTree(N_BITS, max_entries=8)
+                survivors.insert_many([
+                    t for i, part in enumerate(partitions) if i != pilot_id
+                    for t in part
+                ])
+                assert merged == survivors.nearest(query, k=K)
                 full = {
                     (n.distance, n.tid)
                     for n in reference.nearest(query, k=N_TX)
                 }
-                assert all(
-                    (n.distance, n.tid) in full for n in merged
-                )
-                # In fact the salvage makes the partial answer complete.
-                assert merged == reference.nearest(query, k=K)
+                assert all((n.distance, n.tid) in full for n in merged)
         finally:
             sharded.close()
 
     def test_dead_pilot_falls_through_to_the_scatter(
-        self, transactions, reference, queries
+        self, transactions, queries
     ):
-        """Killing whichever shard the router picks as pilot still
-        yields a correct (complete, thanks to salvage) answer."""
+        """Killing the worker the router picks as pilot still yields
+        the exact answer over the shards that remain."""
         partitions, router = partition_routed(transactions, N_SHARDS)
+        handles = make_shard_handles(partitions, N_BITS)
         query = queries[0]
         pilot_id = router.route(query)
-        sharded, dead_tree, survivors, dead_id = \
-            self._sharded_with_a_dying_shard(transactions, pilot_id)
-        assert dead_id == pilot_id
+        handles[pilot_id].worker.kill()
+        survivors = SGTree(N_BITS, max_entries=8)
+        survivors.insert_many([
+            t for i, part in enumerate(partitions) if i != pilot_id
+            for t in part
+        ])
+        sharded = ShardedTree(handles, N_BITS, router=router)
         try:
             merged, coverage = sharded.query(Query("knn", query.items(), k=K))
             assert coverage.partial
             assert set(coverage.errors) == {pilot_id}
-            assert merged == reference.nearest(query, k=K)
+            assert merged == survivors.nearest(query, k=K)
         finally:
             sharded.close()
 
@@ -358,25 +284,18 @@ class TestCoordinatorStats:
     ):
         partitions, router = partition_routed(transactions, N_SHARDS)
         handles = make_shard_handles(partitions, N_BITS)
-        sharded = ShardedTree(
-            handles, N_BITS, router=router, bound_interval=2
-        )
+        sharded = ShardedTree(handles, N_BITS, router=router)
         try:
             stats = SearchStats()
             for query in queries:
                 sharded.query(Query("knn", query.items(), k=K), stats=stats)
-            # With a pilot seeding every scatter, some query's final
-            # threshold is non-local.
-            assert stats.bound_provenance in ("pilot", "broadcast")
+            # With a pilot seeding every scatter, the seed is the bound
+            # in force at the end of some shard's traversal.
+            assert stats.bound_provenance == "pilot"
+            sharded.router = None
+            unrouted = SearchStats()
+            for query in queries:
+                sharded.query(Query("knn", query.items(), k=K), stats=unrouted)
+            assert unrouted.bound_provenance is None
         finally:
             sharded.close()
-
-    def test_bound_interval_is_validated(self, transactions):
-        partitions, router = partition_routed(transactions, N_SHARDS)
-        handles = make_shard_handles(partitions, N_BITS)
-        try:
-            with pytest.raises(ValueError, match="bound_interval"):
-                ShardedTree(handles, N_BITS, bound_interval=0)
-        finally:
-            for handle in handles:
-                handle.close()

@@ -13,10 +13,11 @@ driven against a sharded service; the campaign proves:
   shard whose pager rotted is healed by a rebuild-from-source restart.
 
 Deterministic per ``REPRO_CHAOS_SEED`` (default 0; CI sweeps 0-2).
-Bound sharing is on by default (the cooperative kNN path is what
-serves); ``REPRO_CHAOS_BOUND_SHARING=1`` additionally arms pilot-shard
-routing, so the campaign also exercises the pilot-first code path under
-kills and latency (CI sweeps one seed with it).
+``REPRO_CHAOS_BOUND_SHARING=1`` arms pilot-shard routing (the home
+shard answers first and its k-th distance seeds the rest), so the
+campaign also exercises the pilot-first code path under kills and
+latency (CI sweeps one seed with it); ``0``, the default, scatters to
+every shard unseeded and merges at the end.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.storage.pager import FilePager
 from support import random_signature, random_transactions
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-#: Arm pilot-shard routing on top of the default bound sharing.
+#: Arm pilot-shard routing; otherwise shards merge at the end.
 PILOT_ROUTING = os.environ.get("REPRO_CHAOS_BOUND_SHARING", "0") == "1"
 N_BITS = 120
 N_TX = 160

@@ -2,25 +2,44 @@
 
 from __future__ import annotations
 
+import functools
 import time
 
 import pytest
 
+from repro import SGTree
 from repro.server import (
     Backoff,
     CircuitBreaker,
     Query,
     ShardedTree,
+    ShardHandle,
     ShardSupervisor,
     make_shard_handles,
     partition_transactions,
 )
+from repro.server.shard import ProcessShardWorker
 from repro.telemetry import EventLog, MemoryEventSink, MetricsRegistry, Telemetry
 from support import random_transactions
 
 N_BITS = 120
 
 FAST_BACKOFF = Backoff(initial=0.0, factor=1.0, max_delay=0.0, jitter=False)
+
+
+def _slow_tree(delay: float) -> SGTree:
+    """A shard tree that takes ``delay`` seconds to build."""
+    time.sleep(delay)
+    return SGTree(N_BITS)
+
+
+def _slow_handle(first_build: float) -> ShardHandle:
+    """A handle whose first incarnation builds slowly, later ones fast."""
+    def factory(incarnation: int) -> ProcessShardWorker:
+        delay = first_build if incarnation == 0 else 0.0
+        return ProcessShardWorker(functools.partial(_slow_tree, delay))
+
+    return ShardHandle(0, factory)
 
 
 @pytest.fixture
@@ -148,3 +167,35 @@ class TestSupervision:
             ShardSupervisor(handles, probe_interval=0.0)
         with pytest.raises(ValueError):
             ShardSupervisor(handles, storm_budget=0)
+
+
+class TestFirstAnswerGrace:
+    """A worker still building its tree is not a wedged worker."""
+
+    def test_building_worker_survives_probe_timeouts(self):
+        handle = _slow_handle(first_build=1.5)
+        supervisor = ShardSupervisor(
+            [handle], probe_timeout=0.1, backoff=FAST_BACKOFF
+        )
+        try:
+            assert supervisor.check_once() == []
+            assert supervisor.check_once() == []
+            assert handle.restarts == 0
+            assert handle.probe(timeout=10.0) is not None
+            assert handle.restarts == 0
+        finally:
+            handle.close()
+
+    def test_worker_killed_mid_build_is_restarted(self):
+        handle = _slow_handle(first_build=60.0)
+        supervisor = ShardSupervisor(
+            [handle], probe_timeout=1.0, backoff=FAST_BACKOFF
+        )
+        try:
+            assert supervisor.check_once() == []
+            handle.worker.kill()
+            assert supervisor.check_once() == [handle.shard_id]
+            assert handle.restarts == 1
+            assert handle.probe(timeout=10.0) is not None
+        finally:
+            handle.close()

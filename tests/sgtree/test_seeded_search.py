@@ -87,19 +87,7 @@ class TestKnnHeapSeeding:
         heap.offer(0.6, 1)   # above the cap: rejected
         heap.offer(0.5, 2)   # tie at the cap: admitted
         heap.offer(0.1, 3)
-        assert sorted(heap.pairs()) == [(0.1, 3), (0.5, 2)]
-
-    def test_tighten_is_monotone_and_ignores_nan(self):
-        heap = KnnHeap(3, initial_threshold=0.8)
-        heap.tighten(0.9)            # looser: ignored
-        assert heap.threshold == 0.8
-        assert heap.updates_applied == 0
-        heap.tighten(float("nan"))   # NaN compares false: ignored
-        assert heap.threshold == 0.8
-        heap.tighten(0.4)
-        assert heap.threshold == 0.4
-        assert heap.updates_applied == 1
-        assert heap.provenance == "broadcast"
+        assert heap.results() == [(0.1, 3), (0.5, 2)]
 
     def test_local_kth_overtakes_an_external_cap(self):
         heap = KnnHeap(2, initial_threshold=0.9)
@@ -114,20 +102,7 @@ class TestKnnHeapSeeding:
         offered = [(0.25, 7), (0.5, 3), (0.125, 11)]
         for distance, tid in offered:
             heap.offer(distance, tid)
-        assert sorted(heap.pairs()) == sorted(offered)
-
-
-class _FakeBoundChannel:
-    """A bound channel stub: records exchanges, replies with a script."""
-
-    def __init__(self, interval, thresholds):
-        self.interval = interval
-        self._script = iter(thresholds)
-        self.exchanged = []
-
-    def exchange(self, heap):
-        self.exchanged.append(sorted(heap.pairs()))
-        return next(self._script, math.inf)
+        assert heap.results() == sorted(offered)
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=METRIC_IDS)
@@ -194,46 +169,6 @@ class TestSeededFixedAreaHamming:
                 assert seeded == [n for n in unseeded if n.distance <= cap]
 
 
-@pytest.mark.parametrize("algorithm", ["depth-first", "best-first"])
-class TestBoundChannel:
-    def test_broadcast_tightening_filters_without_reordering(
-        self, tree, queries, algorithm
-    ):
-        for query in queries:
-            unseeded = tree.nearest(query, k=K, algorithm=algorithm)
-            cap = unseeded[K // 2].distance
-            channel = _FakeBoundChannel(interval=1, thresholds=[cap])
-            stats = SearchStats()
-            bounded = tree.nearest(
-                query, k=K, algorithm=algorithm, stats=stats, bound=channel,
-            )
-            assert channel.exchanged, "the engine never polled the channel"
-            # The update arrives mid-flight, after some candidates may
-            # already sit in the heap — the result is still a subset of
-            # the unseeded answer in identical order.
-            kept = [n for n in unseeded if n.distance <= cap]
-            assert all(n in unseeded for n in bounded)
-            assert [n for n in bounded if n.distance <= cap] == \
-                [n for n in bounded if n in kept]
-            # Provenance names the bound in force at the end: broadcast
-            # only while the external cap still out-tightens (or ties
-            # are filtered below) the heap's own k-th distance.
-            if stats.bound_updates_applied and len(bounded) < K:
-                assert stats.bound_provenance == "broadcast"
-
-    def test_loose_broadcasts_change_nothing(self, tree, queries, algorithm):
-        for query in queries:
-            unseeded = tree.nearest(query, k=K, algorithm=algorithm)
-            channel = _FakeBoundChannel(interval=2, thresholds=[math.inf] * 64)
-            stats = SearchStats()
-            bounded = tree.nearest(
-                query, k=K, algorithm=algorithm, stats=stats, bound=channel,
-            )
-            assert bounded == unseeded
-            assert stats.bound_updates_applied == 0
-            assert stats.bound_provenance is None
-
-
 class TestBatchSeeding:
     def test_scalar_seed_matches_per_query_seeding(self, tree, queries):
         unseeded = tree.batch_nearest(queries, k=K)
@@ -285,7 +220,6 @@ class TestSeededStatsAndExplain:
         stats = SearchStats()
         tree.nearest(queries[0], k=K, stats=stats)
         assert stats.bound_provenance is None
-        assert stats.bound_updates_applied == 0
 
     def test_explain_records_the_seed_and_rejects_non_knn(self, tree, queries):
         report = tree.explain(queries[0], kind="knn", k=3,

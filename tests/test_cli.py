@@ -464,7 +464,7 @@ class TestServeCommand:
 
 
 class TestInitialThresholdFlag:
-    """`query --initial-threshold` and the serve bound-sharing knobs."""
+    """`query --initial-threshold`; serve has no bound-sharing knobs."""
 
     def test_seed_at_infinity_changes_nothing(self, index, capsys):
         assert main([
@@ -533,21 +533,11 @@ class TestInitialThresholdFlag:
         ]) == 0
         assert "10 queries in" in capsys.readouterr().out
 
-    def test_serve_bound_flags_parse_and_validate(self, capsys):
+    def test_removed_serve_bound_flags_exit_2(self, capsys):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["serve", "idx.sgt"])
-        assert args.no_bound_sharing is False
-        assert args.bound_report_interval is None
-        args = build_parser().parse_args([
-            "serve", "idx.sgt", "--no-bound-sharing",
-            "--bound-report-interval", "4",
-        ])
-        assert args.no_bound_sharing is True
-        assert args.bound_report_interval == 4
-        for bad in ("0", "-3", "soon"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([
-                    "serve", "idx.sgt", "--bound-report-interval", bad,
-                ])
-            capsys.readouterr()
+        for flag in (["--no-bound-sharing"], ["--bound-report-interval", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["serve", "idx.sgt", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
