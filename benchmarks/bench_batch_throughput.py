@@ -1,11 +1,11 @@
 """Batched-query throughput: shared-frontier traversal vs one-at-a-time.
 
-Runs the same warm-buffer k-NN workload three ways — a sequential loop of
-single-query searches, one ``batch_knn`` shared-frontier traversal per
-64-query batch, and the thread-pooled :class:`~repro.sgtree.executor.
-QueryExecutor` — verifies the three produce identical results, and
-writes ``BENCH_batch_throughput.json`` at the repo root with queries/sec
-and node-accesses-per-query for each engine.
+Runs the same warm-buffer k-NN workload two ways — a sequential loop of
+single-query searches and one ``batch_nearest`` call, whose
+``batch_knn`` walks the batch in shared-frontier blocks of 64 queries —
+verifies the two produce identical results, and writes
+``BENCH_batch_throughput.json`` at the repo root with queries/sec and
+node-accesses-per-query for each engine.
 
 Acceptance gate: batched k-NN at batch size 64 must reach >= 3x the
 sequential QPS on the synthetic workload, with identical per-query
@@ -29,13 +29,11 @@ import pytest
 from bench_common import cached_quest, n_queries, report, telemetry_summary
 from repro.bench import build_tree
 from repro.sgtree import SearchStats
-from repro.sgtree.executor import QueryExecutor
 from repro.telemetry import MetricsRegistry, Telemetry
 
 T_SIZE, I_SIZE, D = 10, 6, 50_000
 BATCH_SIZE = 64
 K = 10
-WORKERS = 4
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_batch_throughput.json"
 
@@ -69,7 +67,7 @@ def _engine_row(label: str, elapsed: float, stats: SearchStats,
 
 
 def run_benchmark(repeat: int = 3, k: int = K) -> dict:
-    """Measure all three engines; returns the result document."""
+    """Measure both engines; returns the result document."""
     queries = max(BATCH_SIZE, n_queries(BATCH_SIZE))
     workload = cached_quest(T_SIZE, I_SIZE, D, queries)
     tree = build_tree(workload).index
@@ -84,39 +82,29 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
     def sequential():
         return [tree.nearest(query, k=k, stats=seq_stats) for query in batch]
 
-    with QueryExecutor(tree, workers=WORKERS, batch_size=BATCH_SIZE) as executor:
-        # Timed passes first, with telemetry detached, so the numbers
-        # reflect the bare engines.
-        seq_elapsed, seq_results = _time_best_of(sequential, repeat)
-        bat_stats = SearchStats()
-        bat_elapsed, bat_results = _time_best_of(
-            lambda: tree.batch_nearest(batch, k=k, stats=bat_stats), repeat
-        )
-        exe_elapsed, exe_results = _time_best_of(
-            lambda: executor.knn(batch, k=k), repeat
-        )
+    # Timed passes first, with telemetry detached, so the numbers
+    # reflect the bare engines.
+    seq_elapsed, seq_results = _time_best_of(sequential, repeat)
+    bat_stats = SearchStats()
+    bat_elapsed, bat_results = _time_best_of(
+        lambda: tree.batch_nearest(batch, k=k, stats=bat_stats), repeat
+    )
 
-        # Untimed stats passes re-run each engine once with telemetry
-        # attached, so the result document also carries real latency /
-        # traffic distributions (the executor picks the attachment up
-        # per call).
-        telemetry = Telemetry(registry=MetricsRegistry())
-        tree.attach_telemetry(telemetry)
-        seq_stats_once = SearchStats()
-        [tree.nearest(query, k=k, stats=seq_stats_once) for query in batch]
-        bat_stats_once = SearchStats()
-        tree.batch_nearest(batch, k=k, stats=bat_stats_once)
-        exe_stats_once = SearchStats()
-        executor.knn(batch, k=k, stats=exe_stats_once)
+    # Untimed stats passes re-run each engine once with telemetry
+    # attached, so the result document also carries real latency /
+    # traffic distributions.
+    telemetry = Telemetry(registry=MetricsRegistry())
+    tree.attach_telemetry(telemetry)
+    seq_stats_once = SearchStats()
+    [tree.nearest(query, k=k, stats=seq_stats_once) for query in batch]
+    bat_stats_once = SearchStats()
+    tree.batch_nearest(batch, k=k, stats=bat_stats_once)
 
-    identical = seq_results == bat_results == exe_results
+    identical = seq_results == bat_results
     sequential_row = _engine_row("sequential", seq_elapsed, seq_stats_once,
                                  len(batch))
     batched_row = _engine_row("batched", bat_elapsed, bat_stats_once,
                               len(batch), batch_size=BATCH_SIZE)
-    executor_row = _engine_row("executor", exe_elapsed, exe_stats_once,
-                               len(batch), batch_size=BATCH_SIZE,
-                               workers=WORKERS)
     return {
         "benchmark": "batch_throughput",
         "workload": workload.name,
@@ -127,12 +115,8 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
         "identical_results": identical,
         "sequential": sequential_row,
         "batched": batched_row,
-        "executor": executor_row,
         "speedup_batched_vs_sequential":
             batched_row["qps"] / sequential_row["qps"]
-            if sequential_row["qps"] else 0.0,
-        "speedup_executor_vs_sequential":
-            executor_row["qps"] / sequential_row["qps"]
             if sequential_row["qps"] else 0.0,
         "telemetry": telemetry_summary(telemetry),
     }
@@ -144,7 +128,7 @@ def _summarise(doc: dict) -> str:
         f"{doc['n_queries']} queries, k={doc['k']})",
         f"  identical results: {doc['identical_results']}",
     ]
-    for key in ("sequential", "batched", "executor"):
+    for key in ("sequential", "batched"):
         row = doc[key]
         ratio = row["buffer_hit_ratio"]
         lines.append(
@@ -159,8 +143,7 @@ def _summarise(doc: dict) -> str:
             f"p95 {digest['p95'] * 1e3:.2f}ms  ({digest['count']} queries)"
         )
     lines.append(
-        f"  speedup: batched {doc['speedup_batched_vs_sequential']:.1f}x, "
-        f"executor {doc['speedup_executor_vs_sequential']:.1f}x"
+        f"  speedup: batched {doc['speedup_batched_vs_sequential']:.1f}x"
     )
     return "\n".join(lines)
 
@@ -186,10 +169,6 @@ class TestBatchThroughput:
             results["batched"]["node_accesses_per_query"]
             <= results["sequential"]["node_accesses_per_query"]
         )
-        assert (
-            results["executor"]["node_accesses_per_query"]
-            <= results["sequential"]["node_accesses_per_query"]
-        )
 
     def test_batched_speedup(self, results):
         assert results["speedup_batched_vs_sequential"] >= 3.0
@@ -197,7 +176,7 @@ class TestBatchThroughput:
     def test_json_well_formed(self, results):
         doc = json.loads(DEFAULT_OUT.read_text())
         assert doc["benchmark"] == "batch_throughput"
-        for key in ("sequential", "batched", "executor"):
+        for key in ("sequential", "batched"):
             assert doc[key]["qps"] > 0
 
 

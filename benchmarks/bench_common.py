@@ -77,8 +77,8 @@ def telemetry_summary(telemetry) -> dict:
 
     Collapses the full registry snapshot to the handful of series a
     benchmark report cares about — query counts and latency quantiles
-    per kind, plus executor shard timings — so result documents stay
-    reviewable while still carrying real measured distributions.
+    per kind — so result documents stay reviewable while still carrying
+    real measured distributions.
     """
     snapshot = telemetry.snapshot()
     out: dict = {"metrics": {}}
@@ -86,9 +86,6 @@ def telemetry_summary(telemetry) -> dict:
         "sgtree_queries_total",
         "sgtree_query_seconds",
         "sgtree_query_node_accesses",
-        "sgtree_executor_shards_total",
-        "sgtree_executor_queue_wait_seconds",
-        "sgtree_executor_shard_seconds",
     ):
         family = snapshot.get(name)
         if not family or not family["series"]:

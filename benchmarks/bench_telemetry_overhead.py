@@ -149,7 +149,7 @@ def _run_serving_benchmark(tree, batch, rounds: int, k: int) -> dict:
         "full_sampling": make(tracing=RequestTracing(sample_rate=1.0)),
     }
     try:
-        # Warm every service (admission machinery, executor, buffer).
+        # Warm every service (admission machinery, buffer).
         for service in services.values():
             for query in requests:
                 service.query(query)

@@ -67,7 +67,7 @@ def post(base: str, path: str, body: dict) -> tuple[int, dict]:
 def main() -> None:
     # --- boot the server over a 500-transaction index ------------------------
     tree = build_tree(seed=7, count=500)
-    service = QueryService(tree, max_inflight=8, max_queue=32, workers=2)
+    service = QueryService(tree, max_inflight=8, max_queue=32)
     server = make_server(service, host="127.0.0.1", port=0)
     server.serve_background()
     base = f"http://127.0.0.1:{server.server_address[1]}"

@@ -70,7 +70,6 @@ from .sgtree import (
     ConcurrentSGTree,
     Deadline,
     Neighbor,
-    QueryExecutor,
     batch_knn,
     batch_range,
     PairResult,
@@ -138,7 +137,6 @@ __all__ = [
     "load_tree",
     "recover_tree",
     "ConcurrentSGTree",
-    "QueryExecutor",
     "batch_knn",
     "batch_range",
     # serving

@@ -113,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--batch", metavar="FILE",
                        help="transaction file (JSON lines) of query signatures; "
                             "answers every query via batched traversals")
-    query.add_argument("--workers", type=int, default=1,
-                       help="threads for --batch (default 1)")
-    query.add_argument("--batch-size", type=int, default=64,
-                       help="queries per shared-frontier shard (default 64)")
     mode = query.add_mutually_exclusive_group()
     mode.add_argument("--knn", type=int, metavar="K",
                       help="k nearest neighbours (default: --knn 1)")
@@ -216,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="default per-request deadline in milliseconds; "
                             "requests may override with their own deadline_ms")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="threads per /query/batch request (default 1)")
-    serve.add_argument("--batch-size", type=int, default=64,
-                       help="queries per shared-frontier shard (default 64)")
     serve.add_argument("--events-out", metavar="FILE", default=None,
                        help="also append structured events (snapshot swaps, "
                             "startup) to FILE as JSON lines")
@@ -339,8 +331,6 @@ def _parse_items(text: str) -> list[int]:
 
 
 def _run_batch_query(tree: SGTree, args: argparse.Namespace) -> int:
-    from .sgtree.executor import QueryExecutor
-
     if args.contains or args.count_epsilon is not None:
         raise SystemExit("--batch supports --knn and --range only")
     transactions, n_bits = load_transactions(args.batch)
@@ -353,19 +343,16 @@ def _run_batch_query(tree: SGTree, args: argparse.Namespace) -> int:
     queries = [transaction.signature for transaction in transactions]
     stats = SearchStats()
     start = time.perf_counter()
-    with QueryExecutor(
-        tree, workers=args.workers, batch_size=args.batch_size
-    ) as executor:
-        if args.epsilon is not None:
-            results = executor.range_query(
-                queries, args.epsilon, metric=args.metric, stats=stats
-            )
-        else:
-            k = args.knn if args.knn is not None else 1
-            results = executor.knn(
-                queries, k=k, metric=args.metric, stats=stats,
-                initial_thresholds=args.initial_threshold,
-            )
+    if args.epsilon is not None:
+        results = tree.batch_range_query(
+            queries, args.epsilon, metric=args.metric, stats=stats
+        )
+    else:
+        k = args.knn if args.knn is not None else 1
+        results = tree.batch_nearest(
+            queries, k=k, metric=args.metric, stats=stats,
+            initial_thresholds=args.initial_threshold,
+        )
     elapsed = time.perf_counter() - start
     for transaction, hits in zip(transactions[:10], results):
         head = ", ".join(f"{hit.tid}:{hit.distance:g}" for hit in hits[:5])
@@ -374,8 +361,7 @@ def _run_batch_query(tree: SGTree, args: argparse.Namespace) -> int:
         print(f"  ... and {len(results) - 10} more queries")
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(
-        f"{len(queries)} queries in {elapsed:.3f}s ({qps:.0f} queries/s, "
-        f"workers={args.workers}, batch-size={args.batch_size})"
+        f"{len(queries)} queries in {elapsed:.3f}s ({qps:.0f} queries/s)"
     )
     if args.stats:
         print(
@@ -683,8 +669,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
             default_deadline=default_deadline,
-            workers=args.workers,
-            batch_size=args.batch_size,
             tracing=tracing,
         )
     try:

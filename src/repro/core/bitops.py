@@ -195,10 +195,8 @@ def _cross_popcount_sum(terms: np.ndarray, n_rows: int, n_cols: int, width: int)
 
 
 _CROSS_UFUNCS = {
-    ckernel.OP_XOR: (np.bitwise_xor, False),
-    ckernel.OP_AND: (np.bitwise_and, False),
-    ckernel.OP_OR: (np.bitwise_or, False),
-    ckernel.OP_ANDNOT: (np.bitwise_and, True),
+    ckernel.OP_XOR: np.bitwise_xor,
+    ckernel.OP_AND: np.bitwise_and,
 }
 
 
@@ -211,11 +209,7 @@ def _cross_count(a: np.ndarray, b: np.ndarray, op: int) -> np.ndarray:
         return np.zeros((n_rows, n_cols), dtype=np.int64)
     if ckernel.available():
         return ckernel.cross_count(op, a, b)
-    ufunc, negate_b = _CROSS_UFUNCS[op]
-    flat_b = b.reshape(1, n_cols * width)
-    if negate_b:
-        flat_b = np.bitwise_not(flat_b)
-    terms = ufunc(np.tile(a, (1, n_cols)), flat_b)
+    terms = _CROSS_UFUNCS[op](np.tile(a, (1, n_cols)), b.reshape(1, n_cols * width))
     return _cross_popcount_sum(terms, n_rows, n_cols, width)
 
 
@@ -234,16 +228,6 @@ def cross_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cross_intersect_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(A, B)`` matrix of ``|a_i ∩ b_j|`` between rows."""
     return _cross_count(a, b, ckernel.OP_AND)
-
-
-def cross_difference_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(A, B)`` matrix of ``|a_i \\ b_j|`` between rows (AND-NOT)."""
-    return _cross_count(a, b, ckernel.OP_ANDNOT)
-
-
-def cross_union_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(A, B)`` matrix of ``|a_i ∪ b_j|`` between rows."""
-    return _cross_count(a, b, ckernel.OP_OR)
 
 
 def to_bytes(words: np.ndarray) -> bytes:

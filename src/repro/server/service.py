@@ -2,9 +2,8 @@
 
 :class:`QueryService` is the protocol-independent heart of
 ``repro-sgtree serve`` — it owns a :class:`~repro.sgtree.concurrent.
-ConcurrentSGTree`, a :class:`~repro.sgtree.executor.QueryExecutor` for
-batches, and the three behaviours a resident server needs that the
-in-process API does not provide:
+ConcurrentSGTree` and adds the three behaviours a resident server needs
+that the in-process API does not provide:
 
 * **Admission control.**  At most ``max_inflight`` requests execute
   concurrently; at most ``max_queue`` more wait for a slot.  A request
@@ -49,7 +48,6 @@ from typing import Callable
 
 from ..errors import QueryTimeout, ReproError
 from ..sgtree.concurrent import ConcurrentSGTree
-from ..sgtree.executor import DEFAULT_BATCH_SIZE, QueryExecutor
 from ..sgtree.search import Deadline, SearchStats
 from ..sgtree.tree import SGTree
 from ..telemetry.tracing import RequestTrace
@@ -158,10 +156,6 @@ class QueryService:
         Per-request budget in seconds applied when a request does not
         carry its own; ``None`` disables the default (requests without a
         deadline then wait and run unboundedly).
-    workers / batch_size:
-        Thread pool and shard size of the internal
-        :class:`~repro.sgtree.executor.QueryExecutor` that answers
-        batches.
 
     The service is thread-safe; one instance serves every handler thread
     of the HTTP layer.
@@ -174,8 +168,6 @@ class QueryService:
         max_inflight: int = 8,
         max_queue: int = 32,
         default_deadline: "float | None" = None,
-        workers: int = 1,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         tracing=None,
     ):
         self._init_admission(
@@ -191,7 +183,6 @@ class QueryService:
             # tree-shape collectors, and re-attachment is idempotent.
             tree.attach_telemetry(telemetry)
         self._tree = tree
-        self._executor = QueryExecutor(tree, workers=workers, batch_size=batch_size)
 
     def _init_admission(
         self,
@@ -528,10 +519,10 @@ class QueryService:
 
         The request waits for an admission slot and runs under its own
         ``deadline_seconds`` budget (or the service default);
-        ``request_id`` names its trace.  A batch occupies **one** slot —
-        intra-batch parallelism is the executor's ``workers``/
-        ``batch_size`` — so a huge batch cannot starve interactive
-        requests of more than one slot, and one deadline bounds it all.
+        ``request_id`` names its trace.  A batch occupies **one** slot
+        and is one shared traversal, so a huge batch cannot starve
+        interactive requests of more than one slot, and one deadline
+        bounds it all.
         """
         deadline = self.resolve_deadline(deadline_seconds)
         return self._serve(
@@ -543,30 +534,13 @@ class QueryService:
     def _run(self, query: Query, deadline: "Deadline | None") -> ServedQuery:
         """Execute one admitted query (the sharded service scatters instead).
 
-        Single queries pin one snapshot, and a head-sampled one files its
-        per-node visit spans as shard 0 of the request trace.  Batches
-        run on the thread-pooled executor, which pins its own snapshot;
-        the generation reported is the published one at dispatch, which
-        the executor's pin can only match or exceed.
+        Every kind, batches included, pins one snapshot and answers with
+        :meth:`Query.run`; the generation reported is the pinned one.  A
+        head-sampled single query files its per-node visit spans as
+        shard 0 of the request trace.
         """
         stats = SearchStats()
         trace = self.current_trace()
-        if query.batch:
-            generation = self._tree.generation
-            signatures = query.signatures(self._tree.n_bits)
-            if query.kind == "batch_knn":
-                results = self._executor.knn(
-                    signatures, k=query.k, metric=query.metric, stats=stats,
-                    deadline=deadline, trace=trace,
-                )
-            else:
-                results = self._executor.range_query(
-                    signatures, query.epsilon, metric=query.metric,
-                    stats=stats, deadline=deadline, trace=trace,
-                )
-            return ServedQuery(
-                query.kind, results, stats, tree_generation=generation
-            )
         tracer = query.tracer(trace is not None and trace.sampled)
         with self._tree.snapshot() as snap:
             results = query.run(
@@ -688,13 +662,12 @@ class QueryService:
             time.sleep(0.01)
 
     def close(self) -> None:
-        """Stop serving: shut the executor pool down (idempotent).
+        """Stop serving (idempotent).
 
         The underlying pager is left open — the caller that built the
         tree owns it (the CLI closes it on exit).
         """
         self._closed = True
-        self._executor.close()
         if self.tracing is not None:
             self.tracing.close()
 

@@ -53,7 +53,6 @@ __all__ = [
     "Neighbor",
     "KnnHeap",
     "strengthen_hamming_bounds",
-    "strengthen_hamming_bounds_matrix",
     "SearchStats",
     "knn",
     "knn_depth_first",
@@ -221,7 +220,7 @@ class _StatsScope:
 
 
 def strengthen_hamming_bounds(
-    metric: Metric, query: Signature, node, bounds: np.ndarray
+    metric: Metric, query_areas, node, bounds: np.ndarray
 ) -> np.ndarray:
     """Sharpen plain-Hamming directory bounds with subtree area stats.
 
@@ -236,6 +235,11 @@ def strengthen_hamming_bounds(
     fixed-dimensionality bound when ``lo == hi``.  Applied only for the
     plain Hamming metric (the fixed-area variant already encodes it) and
     only when every entry carries statistics.
+
+    ``query_areas`` is one query's area (a scalar, with ``(E,)`` bounds)
+    or a ``(Q, 1)`` float64 column of areas (with ``(Q, E)`` bounds);
+    both run the same float64 operations, so batched and sequential
+    traversals prune identically.
     """
     if metric.name != "hamming" or getattr(metric, "fixed_area", None) is not None:
         return bounds
@@ -243,30 +247,9 @@ def strengthen_hamming_bounds(
     if ranges is None:
         return bounds
     mins, maxs = ranges
-    common = query.area - bounds  # |q ∩ sig| per entry
+    common = query_areas - bounds  # |q ∩ sig| per entry
     c = np.minimum(common, maxs)
-    return (query.area - c) + np.maximum(0, mins - c)
-
-
-def strengthen_hamming_bounds_matrix(
-    metric: Metric, query_areas: np.ndarray, node, bounds: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`strengthen_hamming_bounds` over a ``(Q, E)`` block.
-
-    Row ``q`` equals the single-query sharpening of ``bounds[q]`` exactly
-    (same integer statistics, same float64 operations), so batched and
-    sequential traversals prune identically.
-    """
-    if metric.name != "hamming" or getattr(metric, "fixed_area", None) is not None:
-        return bounds
-    ranges = node.area_ranges()
-    if ranges is None:
-        return bounds
-    mins, maxs = ranges
-    areas = query_areas.astype(np.float64)[:, None]
-    common = areas - bounds  # |q ∩ sig| per (query, entry)
-    c = np.minimum(common, maxs[None, :])
-    return (areas - c) + np.maximum(0, mins[None, :] - c)
+    return (query_areas - c) + np.maximum(0, mins - c)
 
 
 def _robust_bounds(metric: Metric, bounds: np.ndarray) -> np.ndarray:
@@ -289,7 +272,9 @@ def _robust_bounds(metric: Metric, bounds: np.ndarray) -> np.ndarray:
 def _directory_bounds(metric: Metric, query: Signature, node) -> np.ndarray:
     """Per-entry lower bounds for a directory node, stats-sharpened."""
     bounds = metric.lower_bound_many(query, node.signature_matrix())
-    return _robust_bounds(metric, strengthen_hamming_bounds(metric, query, node, bounds))
+    return _robust_bounds(
+        metric, strengthen_hamming_bounds(metric, query.area, node, bounds)
+    )
 
 
 def _stack_queries(queries: "list[Signature]") -> tuple[np.ndarray, np.ndarray]:
@@ -422,9 +407,9 @@ class _BatchContext:
         bounds = metric.lower_bound_matrix(
             self.qmatrix[qidx], self.qareas[qidx], node.signature_matrix()
         )
+        areas = self.qareas[qidx].astype(np.float64)[:, None]
         return _robust_bounds(
-            metric,
-            strengthen_hamming_bounds_matrix(metric, self.qareas[qidx], node, bounds),
+            metric, strengthen_hamming_bounds(metric, areas, node, bounds)
         )
 
 
@@ -536,9 +521,6 @@ class KnnHeap:
     def results(self) -> list[Neighbor]:
         ordered = sorted((-d, -neg_tid) for d, neg_tid in self._heap)
         return [Neighbor(distance, tid) for distance, tid in ordered]
-
-
-_KnnHeap = KnnHeap  # historical internal name
 
 
 def _flush_bound_stats(stats: "SearchStats | None", best: KnnHeap) -> None:
@@ -686,6 +668,13 @@ def knn_best_first(
         return results
 
 
+#: Most queries :func:`batch_knn` walks in one shared frontier.  Every
+#: drain's ``fold()`` re-sorts the whole pool, k rows per query, so one
+#: frontier over Q queries costs O(Q²) in folds; a larger batch runs as
+#: consecutive blocks of this many queries instead.
+_KNN_BLOCK = 64
+
+
 def batch_knn(
     store: NodeStore,
     root_id: PageId,
@@ -711,7 +700,10 @@ def batch_knn(
     running :func:`knn_depth_first` once per query, while a node shared
     by many queries' frontiers costs one node access instead of Q.
 
-    ``stats``, when given, accumulates the whole batch's traffic.
+    More than :data:`_KNN_BLOCK` queries run as consecutive blocks of
+    that many, each its own frontier; every block checks the one
+    ``deadline``, and ``stats``, when given, accumulates the whole
+    batch's traffic.
 
     ``initial_thresholds`` (a scalar or one value per query) seeds the
     per-query pruning thresholds, with the same prefix-filter contract
@@ -737,6 +729,16 @@ def batch_knn(
             )
     if n_queries == 0:
         return []
+    if n_queries > _KNN_BLOCK:
+        answers: list[list[Neighbor]] = []
+        for start in range(0, n_queries, _KNN_BLOCK):
+            stop = start + _KNN_BLOCK
+            answers.extend(batch_knn(
+                store, root_id, queries[start:stop], k, metric, stats=stats,
+                deadline=deadline,
+                initial_thresholds=None if seeds is None else seeds[start:stop],
+            ))
+        return answers
     ctx = _BatchContext(queries, metric)
     with _StatsScope(store, stats) as active:
         # Running top-k pool, shared by all queries: parallel arrays
@@ -1037,35 +1039,14 @@ def range_count(
     its whole subtree count without being visited, so counting can be far
     cheaper than retrieval (upper bounds are available for the Hamming
     metric; other metrics fall back to full qualifying-subtree visits).
+    It is :func:`range_count_bounds` with no node budget, whose interval
+    then collapses to the exact count.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    with _StatsScope(store, stats) as active:
-        total = 0
-        stack = [root_id]
-        use_shortcut = metric.name == "hamming" and getattr(metric, "fixed_area", None) is None
-        while stack:
-            node = store.read(stack.pop())
-            n_entries = len(node)
-            if not n_entries:
-                continue
-            if node.is_leaf:
-                active.leaf_entries += n_entries
-                distances = metric.distance_many(query, node.signature_matrix())
-                total += int((distances <= epsilon).sum())
-                continue
-            lows = _directory_bounds(metric, query, node)
-            ups = _hamming_upper_bounds(query, node) if use_shortcut else None
-            refs = node.entry_refs()
-            counts = node.entry_counts()
-            for i in range(n_entries):
-                if lows[i] > epsilon:
-                    continue
-                if ups is not None and counts is not None and ups[i] <= epsilon:
-                    total += int(counts[i])  # whole subtree qualifies, unvisited
-                else:
-                    stack.append(int(refs[i]))
-        return total
+    low, _high = range_count_bounds(
+        store, root_id, query, epsilon, metric, node_budget=math.inf,
+        database_size=0, stats=stats,
+    )
+    return low
 
 
 def range_count_bounds(
@@ -1074,7 +1055,7 @@ def range_count_bounds(
     query: Signature,
     epsilon: float,
     metric: Metric,
-    node_budget: int,
+    node_budget: "int | float",
     database_size: int,
     stats: SearchStats | None = None,
 ) -> tuple[int, int]:

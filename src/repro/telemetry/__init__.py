@@ -138,22 +138,6 @@ class Telemetry:
         self.root_grows_total = reg.counter(
             "sgtree_root_grows_total", "Root growth events (tree height +1)"
         )
-        # Executor instruments (pushed per shard).
-        self.executor_shards_total = reg.counter(
-            "sgtree_executor_shards_total",
-            "Shards dispatched by the query executor", ("engine",),
-        )
-        self.executor_queue_wait_seconds = reg.histogram(
-            "sgtree_executor_queue_wait_seconds",
-            "Time a shard waited in the executor queue before a worker "
-            "picked it up", ("engine",),
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self.executor_shard_seconds = reg.histogram(
-            "sgtree_executor_shard_seconds",
-            "Wall time a worker spent on one shard", ("engine",),
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
         self.events_total = reg.counter(
             "sgtree_events_total", "Structured events emitted, by type",
             ("event",),

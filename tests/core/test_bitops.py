@@ -201,20 +201,6 @@ class TestCrossKernels:
             for j, y in enumerate(self.B_SETS):
                 assert out[i, j] == len(x & y)
 
-    def test_cross_difference_count(self):
-        a, b = self._matrices()
-        out = bitops.cross_difference_count(a, b)
-        for i, x in enumerate(self.A_SETS):
-            for j, y in enumerate(self.B_SETS):
-                assert out[i, j] == len(x - y)
-
-    def test_cross_union_count(self):
-        a, b = self._matrices()
-        out = bitops.cross_union_count(a, b)
-        for i, x in enumerate(self.A_SETS):
-            for j, y in enumerate(self.B_SETS):
-                assert out[i, j] == len(x | y)
-
     @given(st.lists(positions_strategy, min_size=1, max_size=6),
            st.lists(positions_strategy, min_size=1, max_size=6))
     @settings(max_examples=25)

@@ -66,13 +66,16 @@ class TestQueryRoutes:
                 tree.containment_query(Signature.from_items([5], N_BITS))
 
     def test_batch_matches_executor(self, tree):
+        """A served batch, past one 64-query kNN block, answers exactly
+        as sequential queries, from the pinned snapshot's generation."""
         rng = np.random.default_rng(9)
-        queries = [random_signature(rng, N_BITS, max_items=10) for _ in range(9)]
-        with QueryService(tree, workers=2, batch_size=4) as service:
+        queries = [random_signature(rng, N_BITS, max_items=10) for _ in range(70)]
+        with QueryService(tree) as service:
             items = [q.items() for q in queries]
             served = service.query(Query("batch_knn", queries=items, k=3))
             assert served.kind == "batch_knn"
             assert served.results == [tree.nearest(q, k=3) for q in queries]
+            assert served.tree_generation == service.tree.generation
             ranged = service.query(
                 Query("batch_range", queries=items, epsilon=4.0)
             )

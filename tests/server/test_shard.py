@@ -118,14 +118,19 @@ class TestScatterGatherCorrectness:
             assert not coverage.partial
 
     def test_batch_knn_matches_reference(self, sharded, reference, queries):
-        merged, coverage = sharded.query(
-            Query("batch_knn", queries=[q.items() for q in queries], k=3)
-        )
-        assert not coverage.partial
-        for q, row in zip(queries, merged):
-            expected = reference.nearest(q, k=3)
-            assert {(n.tid, n.distance) for n in row} == \
-                {(n.tid, n.distance) for n in expected}
+        # the second batch runs past one 64-query kNN block on every shard
+        rng = np.random.default_rng(29)
+        large = queries + [
+            random_signature(rng, N_BITS, max_items=10) for _ in range(70)
+        ]
+        for batch in (queries, large):
+            merged, coverage = sharded.query(
+                Query("batch_knn", queries=[q.items() for q in batch], k=3)
+            )
+            assert not coverage.partial
+            assert len(merged) == len(batch)
+            for q, row in zip(batch, merged):
+                assert row == reference.nearest(q, k=3)
 
     def test_stats_aggregate_across_shards(self, sharded, queries):
         from repro import SearchStats

@@ -87,7 +87,7 @@ class TestBoundCorrectness:
         node.add(Entry(union, 1, min_area=min(areas), max_area=max(areas)))
         query = Signature.from_items(q, N_BITS)
         base = HAMMING.lower_bound_many(query, node.signature_matrix())
-        sharpened = strengthen_hamming_bounds(HAMMING, query, node, base)
+        sharpened = strengthen_hamming_bounds(HAMMING, query.area, node, base)
         assert sharpened[0] >= base[0] - 1e-9  # never weaker
         for member in members:
             assert sharpened[0] <= HAMMING.distance(query, member) + 1e-9
@@ -97,7 +97,7 @@ class TestBoundCorrectness:
         node.add(Entry(Signature.from_items([1, 2], N_BITS), 1))
         query = Signature.from_items([5], N_BITS)
         base = HAMMING.lower_bound_many(query, node.signature_matrix())
-        assert strengthen_hamming_bounds(HAMMING, query, node, base) is base
+        assert strengthen_hamming_bounds(HAMMING, query.area, node, base) is base
 
     def test_other_metrics_passthrough(self):
         from repro import JACCARD
@@ -106,7 +106,7 @@ class TestBoundCorrectness:
         node.add(Entry(Signature.from_items([1], N_BITS), 1, min_area=1, max_area=1))
         query = Signature.from_items([5], N_BITS)
         base = JACCARD.lower_bound_many(query, node.signature_matrix())
-        assert strengthen_hamming_bounds(JACCARD, query, node, base) is base
+        assert strengthen_hamming_bounds(JACCARD, query.area, node, base) is base
 
 
 class TestSearchImpact:

@@ -22,8 +22,9 @@ from repro import (
     SGTree,
     Signature,
 )
-from repro.sgtree import SearchStats
-from repro.sgtree.search import KnnHeap
+from repro.errors import QueryTimeout
+from repro.sgtree import Deadline, SearchStats
+from repro.sgtree.search import KnnHeap, batch_knn
 from support import random_signature, random_transactions
 
 N_BITS = 160
@@ -152,6 +153,50 @@ class TestBatchKnn:
             assert index.batch_nearest(batch, k=4, metric=metric) == [
                 index.nearest(q, k=4, metric=metric) for q in batch
             ]
+
+
+class TestBatchKnnBlocks:
+    """More than 64 queries run as consecutive 64-query blocks."""
+
+    N_QUERIES = 130  # blocks of 64, 64 and 2
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(92)
+        return [
+            random_signature(rng, N_BITS, max_items=14)
+            for _ in range(self.N_QUERIES)
+        ]
+
+    @pytest.fixture(scope="class")
+    def seeds(self):
+        # a different seed regime in each block, varying within blocks too
+        index = np.arange(self.N_QUERIES)
+        return np.array([1000.0, 9.0, 6.0])[index // 64] + index % 3
+
+    def test_blocks_match_sequential_query_by_query(self, tree, batch, seeds):
+        stats = SearchStats()
+        got = batch_knn(tree.store, tree.root_id, batch, 4, HAMMING,
+                        stats=stats, initial_thresholds=seeds)
+        assert len(got) == self.N_QUERIES
+        for query, seed, row in zip(batch, seeds, got):
+            assert row == tree.nearest(query, k=4,
+                                       initial_threshold=float(seed))
+        per_block = 0
+        for start in (0, 64, 128):
+            block = SearchStats()
+            batch_knn(tree.store, tree.root_id, batch[start:start + 64], 4,
+                      HAMMING, stats=block,
+                      initial_thresholds=seeds[start:start + 64])
+            per_block += block.node_accesses
+        assert stats.node_accesses == per_block
+
+    def test_expired_deadline_raises_before_any_node_read(self, tree, batch):
+        before = tree.store.counters.node_accesses
+        with pytest.raises(QueryTimeout):
+            batch_knn(tree.store, tree.root_id, batch, 4, HAMMING,
+                      deadline=Deadline.after(0.0))
+        assert tree.store.counters.node_accesses == before
 
 
 class TestBatchRange:

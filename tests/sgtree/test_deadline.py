@@ -9,7 +9,7 @@ import pytest
 
 from repro import SGTree, SearchStats
 from repro.errors import QueryTimeout, ReproError
-from repro.sgtree import Deadline, QueryExecutor
+from repro.sgtree import Deadline
 from repro.sgtree.concurrent import ConcurrentSGTree
 from support import random_signature, random_transactions
 
@@ -118,26 +118,30 @@ class TestTraversalCancellation:
             concurrent.containment_query(queries[0], deadline=Deadline.after(0.0))
 
     def test_executor_forwards_deadline(self, tree, queries):
+        """Batches through the concurrent facade honour the one deadline."""
+        concurrent = ConcurrentSGTree(tree)
         stats = SearchStats()
-        with QueryExecutor(tree, workers=2, batch_size=4) as ex:
-            with pytest.raises(QueryTimeout):
-                ex.knn(queries, k=3, stats=stats,
-                       deadline=Deadline.after(0.0))
-            with pytest.raises(QueryTimeout):
-                ex.range_query(queries, 4.0, deadline=Deadline.after(0.0))
-        # the whole-run store delta is flushed even though shards failed
+        with pytest.raises(QueryTimeout):
+            concurrent.batch_nearest(queries, k=3, stats=stats,
+                                     deadline=Deadline.after(0.0))
+        with pytest.raises(QueryTimeout):
+            concurrent.batch_range_query(queries, 4.0,
+                                         deadline=Deadline.after(0.0))
+        # the stats scope flushes on the way out of the failed traversal
         assert stats.node_accesses >= 0
 
     def test_executor_zero_budget_rejects_before_dispatch(self, tree, queries):
-        """An already-expired budget never reaches the thread pool: the
-        upfront check fires before a single shard is submitted, so the
+        """An already-expired budget fails before the first node read,
+        even for a kNN batch that spans several 64-query blocks, so the
         tree sees no traffic at all."""
+        concurrent = ConcurrentSGTree(tree)
+        many = queries * 11  # 132 queries: three kNN blocks
         before = tree.store.counters.node_accesses
-        with QueryExecutor(tree, workers=2, batch_size=4) as ex:
-            with pytest.raises(QueryTimeout):
-                ex.knn(queries, k=3, deadline=Deadline.after(0.0))
-            with pytest.raises(QueryTimeout):
-                ex.range_query(queries, 4.0, deadline=Deadline.after(0.0))
+        with pytest.raises(QueryTimeout):
+            concurrent.batch_nearest(many, k=3, deadline=Deadline.after(0.0))
+        with pytest.raises(QueryTimeout):
+            concurrent.batch_range_query(many, 4.0,
+                                         deadline=Deadline.after(0.0))
         assert tree.store.counters.node_accesses == before
 
 

@@ -1,4 +1,11 @@
-"""The QueryExecutor: sharded parity, stats aggregation, thread safety."""
+"""Batches through ConcurrentSGTree: parity, stats, failures, writers.
+
+Every batch is one ``batch_nearest`` / ``batch_range_query`` call on one
+pinned snapshot, and ``batch_knn`` walks more than 64 queries as
+consecutive 64-query blocks.  These tests pin that path end to end: exact
+parity with sequential queries across block boundaries, whole-batch
+stats, failure mid-batch, and reads racing snapshot-publishing writers.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro import SGTree, Signature
-from repro.sgtree import QueryExecutor, SearchStats, validate_tree
+from repro import SGTree
+from repro.sgtree import SearchStats, search, validate_tree
 from repro.sgtree.concurrent import ConcurrentSGTree
 from support import random_signature, random_transactions
 
@@ -30,166 +37,141 @@ def queries():
     return [random_signature(rng, N_BITS, max_items=12) for _ in range(23)]
 
 
+def fresh_queries(count: int, seed: int = 41) -> list:
+    rng = np.random.default_rng(seed)
+    return [random_signature(rng, N_BITS, max_items=12) for _ in range(count)]
+
+
+def fail_on_block(monkeypatch, block: int, after: bool = False) -> list:
+    """Make the ``block``-th 64-query kNN block raise ``RuntimeError``.
+
+    ``batch_knn`` runs each block through the module-level name, so the
+    wrapper sees the whole-batch call first and then one call per block.
+    With ``after`` the failing block finishes its traversal first.
+    """
+    original = search.batch_knn
+    calls: list[int] = []
+
+    def flaky(store, root_id, queries, *args, **kwargs):
+        calls.append(len(queries))
+        if len(calls) == block + 1 and not after:
+            raise RuntimeError("block exploded")
+        result = original(store, root_id, queries, *args, **kwargs)
+        if len(calls) == block + 1:
+            raise RuntimeError("late failure")
+        return result
+
+    monkeypatch.setattr(search, "batch_knn", flaky)
+    return calls
+
+
 class TestExecutorParity:
-    @pytest.mark.parametrize("workers,batch_size", [(1, 64), (1, 4), (4, 4), (3, 7)])
-    def test_knn_matches_sequential(self, tree, queries, workers, batch_size):
-        expected = [tree.nearest(q, k=5) for q in queries]
-        with QueryExecutor(tree, workers=workers, batch_size=batch_size) as ex:
-            assert ex.knn(queries, k=5) == expected
+    @pytest.mark.parametrize(
+        "k,n_queries", [(1, 64), (1, 4), (4, 4), (3, 7), (5, 130)]
+    )
+    def test_knn_matches_sequential(self, tree, k, n_queries):
+        batch = fresh_queries(n_queries)
+        expected = [tree.nearest(q, k=k) for q in batch]
+        assert ConcurrentSGTree(tree).batch_nearest(batch, k=k) == expected
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_range_matches_sequential(self, tree, queries, workers):
-        expected = [tree.range_query(q, 5.0) for q in queries]
-        with QueryExecutor(tree, workers=workers, batch_size=6) as ex:
-            assert ex.range_query(queries, 5.0) == expected
+    @pytest.mark.parametrize("epsilon", [1, 4])
+    def test_range_matches_sequential(self, tree, queries, epsilon):
+        expected = [tree.range_query(q, epsilon) for q in queries]
+        concurrent = ConcurrentSGTree(tree)
+        assert concurrent.batch_range_query(queries, epsilon) == expected
 
-    def test_per_query_epsilon_sharded(self, tree, queries):
-        eps = np.arange(len(queries), dtype=np.float64) / 2.0
-        expected = [
-            tree.range_query(q, float(e)) for q, e in zip(queries, eps)
-        ]
-        # batch_size 5 forces epsilon to be sliced across shards
-        with QueryExecutor(tree, workers=2, batch_size=5) as ex:
-            assert ex.range_query(queries, eps) == expected
+    def test_per_query_epsilon_sharded(self, tree):
+        batch = fresh_queries(70)
+        eps = np.arange(len(batch), dtype=np.float64) / 8.0
+        expected = [tree.range_query(q, float(e)) for q, e in zip(batch, eps)]
+        assert ConcurrentSGTree(tree).batch_range_query(batch, eps) == expected
 
     def test_jaccard_metric_passthrough(self, tree, queries):
         expected = [tree.nearest(q, k=3, metric="jaccard") for q in queries]
-        with QueryExecutor(tree, workers=2, batch_size=8) as ex:
-            assert ex.knn(queries, k=3, metric="jaccard") == expected
+        concurrent = ConcurrentSGTree(tree)
+        assert concurrent.batch_nearest(queries, k=3, metric="jaccard") == expected
 
     def test_empty_batch(self, tree):
-        with QueryExecutor(tree) as ex:
-            assert ex.knn([], k=3) == []
-            assert ex.range_query([], 1.0) == []
+        concurrent = ConcurrentSGTree(tree)
+        assert concurrent.batch_nearest([], k=3) == []
+        assert concurrent.batch_range_query([], 1.0) == []
 
     def test_accepts_concurrent_tree(self, tree, queries):
+        """The facade's batch answers the plain tree's, query by query."""
         concurrent = ConcurrentSGTree(tree)
-        with QueryExecutor(concurrent, workers=2, batch_size=8) as ex:
-            assert ex.tree is concurrent
-            assert ex.knn(queries[:5], k=2) == [
-                tree.nearest(q, k=2) for q in queries[:5]
-            ]
+        assert concurrent.batch_nearest(queries[:5], k=2) == \
+            tree.batch_nearest(queries[:5], k=2) == \
+            [tree.nearest(q, k=2) for q in queries[:5]]
 
 
 class TestExecutorStats:
-    def test_batch_stats_aggregated(self, tree, queries):
+    def test_batch_stats_aggregated(self, tree):
         stats = SearchStats()
-        with QueryExecutor(tree, workers=2, batch_size=6) as ex:
-            ex.knn(queries, k=5, stats=stats)
+        ConcurrentSGTree(tree).batch_nearest(fresh_queries(130), k=5, stats=stats)
         assert stats.node_accesses > 0
         assert 0 <= stats.random_ios <= stats.node_accesses
         assert stats.leaf_entries > 0
         assert 0.0 <= stats.hit_ratio <= 1.0
 
     def test_stats_accumulate_across_calls(self, tree, queries):
+        concurrent = ConcurrentSGTree(tree)
         stats = SearchStats()
-        with QueryExecutor(tree, workers=1) as ex:
-            ex.knn(queries[:4], k=2, stats=stats)
-            first = stats.node_accesses
-            ex.knn(queries[:4], k=2, stats=stats)
-        assert stats.node_accesses >= first
+        concurrent.batch_nearest(queries[:4], k=2, stats=stats)
+        first = stats.node_accesses
+        concurrent.batch_nearest(queries[:4], k=2, stats=stats)
+        assert stats.node_accesses == 2 * first
 
     def test_inline_stats_match_single_shard_traversal(self, tree, queries):
         direct = SearchStats()
         tree.batch_nearest(queries, k=4, stats=direct)
-        through_executor = SearchStats()
-        with QueryExecutor(tree, workers=1, batch_size=len(queries)) as ex:
-            ex.knn(queries, k=4, stats=through_executor)
-        assert through_executor.leaf_entries == direct.leaf_entries
-        assert through_executor.node_accesses == direct.node_accesses
+        pinned = SearchStats()
+        ConcurrentSGTree(tree).batch_nearest(queries, k=4, stats=pinned)
+        assert pinned.leaf_entries == direct.leaf_entries
+        assert pinned.node_accesses == direct.node_accesses
 
 
 class TestExecutorValidation:
-    def test_workers_must_be_positive(self, tree):
-        with pytest.raises(ValueError, match="workers"):
-            QueryExecutor(tree, workers=0)
-
-    def test_batch_size_must_be_positive(self, tree):
-        with pytest.raises(ValueError, match="batch_size"):
-            QueryExecutor(tree, batch_size=0)
-
     def test_epsilon_shape_mismatch(self, tree, queries):
-        with QueryExecutor(tree) as ex:
-            with pytest.raises(ValueError, match="one value per query"):
-                ex.range_query(queries, [1.0, 2.0])
-
-    def test_close_is_idempotent(self, tree):
-        ex = QueryExecutor(tree, workers=2)
-        ex.close()
-        ex.close()
+        concurrent = ConcurrentSGTree(tree)
+        with pytest.raises(ValueError, match="one value per query"):
+            concurrent.batch_range_query(queries, [1.0, 2.0])
+        with pytest.raises(ValueError, match="one value per query"):
+            concurrent.batch_nearest(queries, k=2, initial_thresholds=[1.0, 2.0])
 
 
 class TestExecutorPartialFailure:
-    """A shard blowing up mid-batch must not corrupt accounting."""
+    """A block blowing up mid-batch must not corrupt accounting or pins."""
 
-    def test_worker_exception_propagates(self, tree, queries, monkeypatch):
-        concurrent = ConcurrentSGTree(tree)
-        calls = []
-        original = SGTree.batch_nearest
+    def test_worker_exception_propagates(self, tree, monkeypatch):
+        calls = fail_on_block(monkeypatch, block=2)
+        with pytest.raises(RuntimeError, match="block exploded"):
+            ConcurrentSGTree(tree).batch_nearest(fresh_queries(130), k=3)
+        assert calls == [130, 64, 64]  # the third block never ran
 
-        def flaky(self, shard, **kwargs):
-            calls.append(len(shard))
-            if len(calls) == 2:  # the second shard dies mid-batch
-                raise RuntimeError("shard exploded")
-            return original(self, shard, **kwargs)
-
-        monkeypatch.setattr(SGTree, "batch_nearest", flaky)
-        with QueryExecutor(concurrent, workers=2, batch_size=6) as ex:
-            with pytest.raises(RuntimeError, match="shard exploded"):
-                ex.knn(queries, k=3)
-
-    def test_stats_flushed_after_partial_failure(self, tree, queries, monkeypatch):
-        """Completed shards' traffic is accounted even when one fails."""
-        concurrent = ConcurrentSGTree(tree)
-        original = SGTree.batch_nearest
-        seen = []
-
-        def flaky(self, shard, **kwargs):
-            result = original(self, shard, **kwargs)
-            seen.append(len(shard))
-            if len(seen) == 1:  # fail after the first shard did real work
-                raise RuntimeError("late failure")
-            return result
-
-        monkeypatch.setattr(SGTree, "batch_nearest", flaky)
+    def test_stats_flushed_after_partial_failure(self, tree, monkeypatch):
+        """Finished blocks' traffic is accounted even when one fails."""
+        batch = fresh_queries(130)
+        expected = SearchStats()
+        tree.batch_nearest(batch[:128], k=3, stats=expected)
+        fail_on_block(monkeypatch, block=2, after=True)
         stats = SearchStats()
-        with QueryExecutor(concurrent, workers=1, batch_size=6) as ex:
-            with pytest.raises(RuntimeError, match="late failure"):
-                ex.knn(queries, k=3, stats=stats)
-        assert stats.node_accesses > 0  # first shard's traffic flushed
+        with pytest.raises(RuntimeError, match="late failure"):
+            ConcurrentSGTree(tree).batch_nearest(batch, k=3, stats=stats)
+        assert stats.node_accesses == expected.node_accesses
+        assert stats.leaf_entries == expected.leaf_entries
 
-    def test_no_shard_left_running_after_failure(self, tree, queries, monkeypatch):
-        """_run drains the pool before re-raising; nothing traverses after."""
+    def test_no_shard_left_running_after_failure(self, tree, monkeypatch):
+        """The batch's one snapshot pin is released on the way out."""
         concurrent = ConcurrentSGTree(tree)
-        original = SGTree.batch_nearest
-        lock = threading.Lock()
-        state = {"calls": 0, "live": 0}
-
-        def flaky(self, shard, **kwargs):
-            with lock:
-                state["calls"] += 1
-                state["live"] += 1
-                mine = state["calls"]
-            try:
-                if mine == 1:
-                    raise RuntimeError("first shard fails fast")
-                return original(self, shard, **kwargs)
-            finally:
-                with lock:
-                    state["live"] -= 1
-
-        monkeypatch.setattr(SGTree, "batch_nearest", flaky)
-        with QueryExecutor(concurrent, workers=3, batch_size=3) as ex:
-            with pytest.raises(RuntimeError, match="fails fast"):
-                ex.knn(queries, k=2)
-            # _run drained every submitted shard before re-raising, so the
-            # instant the caller sees the error no shard is still running.
-            assert state["live"] == 0
+        fail_on_block(monkeypatch, block=1)
+        with pytest.raises(RuntimeError, match="block exploded"):
+            concurrent.batch_nearest(fresh_queries(130), k=2)
+        assert concurrent.active_pins == 0
 
 
 class TestExecutorThreadSafety:
     def test_queries_concurrent_with_inserts(self):
-        """Executor queries racing writer inserts across snapshot publishes."""
+        """Batches racing writer inserts across snapshot publishes."""
         transactions = random_transactions(seed=99, count=200, n_bits=N_BITS)
         extra = random_transactions(seed=100, count=150, n_bits=N_BITS)
         for i, t in enumerate(extra):
@@ -198,8 +180,7 @@ class TestExecutorThreadSafety:
         for t in transactions:
             concurrent.insert(t)
 
-        rng = np.random.default_rng(7)
-        batch = [random_signature(rng, N_BITS, max_items=12) for _ in range(16)]
+        batch = fresh_queries(70, seed=7)  # two kNN blocks per batch
         errors: list[BaseException] = []
         done = threading.Event()
 
@@ -212,10 +193,10 @@ class TestExecutorThreadSafety:
             finally:
                 done.set()
 
-        def reader(executor: QueryExecutor):
+        def reader():
             try:
                 while not done.is_set():
-                    results = executor.knn(batch, k=3)
+                    results = concurrent.batch_nearest(batch, k=3)
                     assert len(results) == len(batch)
                     for hits in results:
                         distances = [n.distance for n in hits]
@@ -223,20 +204,17 @@ class TestExecutorThreadSafety:
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        with QueryExecutor(concurrent, workers=3, batch_size=4) as executor:
-            threads = [threading.Thread(target=writer)] + [
-                threading.Thread(target=reader, args=(executor,))
-                for _ in range(2)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
         assert not errors
         assert len(concurrent) == 350
         validate_tree(concurrent.tree)  # raises on any violated invariant
-        # after the dust settles the executor answers exactly
-        with QueryExecutor(concurrent, workers=2, batch_size=4) as executor:
-            assert executor.knn(batch, k=3) == [
-                concurrent.tree.nearest(q, k=3) for q in batch
-            ]
+        # after the dust settles the batch answers exactly
+        assert concurrent.batch_nearest(batch, k=3) == [
+            concurrent.tree.nearest(q, k=3) for q in batch
+        ]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SGTree, Signature
-from repro.sgtree import QueryExecutor, SearchStats
+from repro.sgtree import SearchStats
 from support import random_signature, random_transactions
 
 N_BITS = 130
@@ -62,13 +62,12 @@ class TestAggregate:
         assert total.hit_ratio is None
 
     def test_executor_batch_ratio_defined_even_with_idle_shards(self, tree):
-        # more shards than queries per shard: the last shard is tiny but
-        # every shard's work lands in one summed, NaN-safe total
+        # a kNN batch past one 64-query block: the last block is tiny but
+        # every block's work lands in one summed, NaN-safe total
         rng = np.random.default_rng(8)
-        queries = [random_signature(rng, N_BITS, max_items=10) for _ in range(9)]
+        queries = [random_signature(rng, N_BITS, max_items=10) for _ in range(65)]
         stats = SearchStats()
-        with QueryExecutor(tree, workers=2, batch_size=2) as ex:
-            ex.knn(queries, k=2, stats=stats)
+        tree.batch_nearest(queries, k=2, stats=stats)
         assert stats.node_accesses > 0
         assert 0.0 <= stats.hit_ratio <= 1.0
 

@@ -276,12 +276,11 @@ class TestQueryBatch:
     def test_batch_knn_with_stats(self, index, query_file, capsys):
         assert main([
             "query", str(index), "--batch", str(query_file),
-            "--knn", "3", "--workers", "2", "--batch-size", "8", "--stats",
+            "--knn", "3", "--stats",
         ]) == 0
         out = capsys.readouterr().out
         assert "20 queries in" in out
         assert "queries/s" in out
-        assert "workers=2" in out
         assert "node accesses" in out
         assert "hit ratio" in out
 
@@ -532,6 +531,16 @@ class TestInitialThresholdFlag:
             "--initial-threshold", "inf",
         ]) == 0
         assert "10 queries in" in capsys.readouterr().out
+
+    def test_removed_batch_flags_exit_2(self, capsys):
+        from repro.cli import build_parser
+
+        for argv in (["query", "idx.sgt", "--items", "1", "--workers", "2"],
+                     ["serve", "idx.sgt", "--batch-size", "8"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_removed_serve_bound_flags_exit_2(self, capsys):
         from repro.cli import build_parser
