@@ -29,10 +29,8 @@ from .search import (
     SearchStats,
     containment_search,
     equality_search,
-    knn,
     knn_best_first,
     knn_depth_first,
-    range_search,
     subset_search,
 )
 from .split import SPLITTERS, split_entries
@@ -56,14 +54,12 @@ __all__ = [
     "Neighbor",
     "SearchStats",
     "Deadline",
-    "knn",
     "knn_depth_first",
     "knn_best_first",
     "KnnHeap",
     "batch_knn",
     "batch_range",
     "browse",
-    "range_search",
     "range_count",
     "range_count_bounds",
     "constrained_nearest",

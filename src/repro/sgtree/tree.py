@@ -365,22 +365,27 @@ class SGTree:
         traversal.
         """
         metric = self.metric if metric is None else resolve_metric(metric)
-        if tracer is not None:
-            if algorithm != "depth-first":
-                raise ValueError(
-                    f"tracing supports the depth-first engine only, "
-                    f"got algorithm={algorithm!r}"
-                )
+        if tracer is not None and algorithm != "depth-first":
+            raise ValueError(
+                f"tracing supports the depth-first engine only, "
+                f"got algorithm={algorithm!r}"
+            )
+        if algorithm == "depth-first":
             return self._timed("knn", stats, lambda s: _search.knn_depth_first(
                 self._store, self._root_id, query, k, metric,
                 stats=s, tracer=tracer, deadline=deadline,
                 initial_threshold=initial_threshold,
             ))
-        return self._timed("knn", stats, lambda s: _search.knn(
-            self._store, self._root_id, query, k, metric,
-            algorithm=algorithm, stats=s, deadline=deadline,
-            initial_threshold=initial_threshold,
-        ))
+        if algorithm == "best-first":
+            return self._timed("knn", stats, lambda s: _search.knn_best_first(
+                self._store, self._root_id, query, k, metric,
+                stats=s, deadline=deadline,
+                initial_threshold=initial_threshold,
+            ))
+        raise ValueError(
+            f"unknown k-NN algorithm {algorithm!r}; "
+            f"choose from ['best-first', 'depth-first']"
+        )
 
     def batch_nearest(
         self,
@@ -448,12 +453,13 @@ class SGTree:
         deadline: "_search.Deadline | None" = None,
         tracer=None,
     ) -> list["_search.Neighbor"]:
-        """All transactions within distance ``epsilon`` of ``query``."""
+        """All transactions within distance ``epsilon`` of ``query``: a
+        batch of one through :func:`repro.sgtree.search.batch_range`."""
         metric = self.metric if metric is None else resolve_metric(metric)
-        return self._timed("range", stats, lambda s: _search.range_search(
-            self._store, self._root_id, query, epsilon, metric, stats=s,
+        return self._timed("range", stats, lambda s: _search.batch_range(
+            self._store, self._root_id, [query], epsilon, metric, stats=s,
             deadline=deadline, tracer=tracer,
-        ))
+        )[0])
 
     def range_count(
         self,
@@ -588,10 +594,10 @@ class SGTree:
         elif kind == "range":
             if epsilon is None:
                 raise ValueError("explain(kind='range') requires epsilon")
-            results = _search.range_search(
-                self._store, self._root_id, query, epsilon, metric,
+            results = _search.batch_range(
+                self._store, self._root_id, [query], epsilon, metric,
                 stats=stats, tracer=tracer,
-            )
+            )[0]
             params = {"epsilon": epsilon, "metric": metric.name}
         elif kind == "containment":
             results = _search.containment_search(

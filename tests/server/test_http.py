@@ -220,6 +220,9 @@ class TestMalformedBodies:
         pytest.param("containment", {"items": [True]}, id="item-bool"),
         pytest.param("knn", {"items": [1, 2], "algorithm": "sideways"},
                      id="unknown-algorithm"),
+        pytest.param("knn", {"items": [1, 2], "k": 0,
+                             "algorithm": "best-first"},
+                     id="k-zero-best-first"),
         pytest.param("knn", {"items": [1, 2], "deadline_ms": NAN},
                      id="deadline-nan"),
         pytest.param("knn", {"items": [1, 2], "deadline_ms": 10**400},

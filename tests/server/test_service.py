@@ -65,7 +65,7 @@ class TestQueryRoutes:
             assert service.query(Query("containment", [5])).results == \
                 tree.containment_query(Signature.from_items([5], N_BITS))
 
-    def test_batch_matches_executor(self, tree):
+    def test_batch_matches_sequential(self, tree):
         """A served batch, past one 64-query kNN block, answers exactly
         as sequential queries, from the pinned snapshot's generation."""
         rng = np.random.default_rng(9)

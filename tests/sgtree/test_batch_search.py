@@ -24,7 +24,8 @@ from repro import (
 )
 from repro.errors import QueryTimeout
 from repro.sgtree import Deadline, SearchStats
-from repro.sgtree.search import KnnHeap, batch_knn
+from repro.sgtree.search import KnnHeap, batch_knn, batch_range
+from repro.telemetry.tracing import Tracer
 from support import random_signature, random_transactions
 
 N_BITS = 160
@@ -228,6 +229,11 @@ class TestBatchRange:
 
     def test_empty_batch(self, tree):
         assert tree.batch_range_query([], 3.0) == []
+
+    def test_tracer_takes_exactly_one_query(self, tree, queries):
+        with pytest.raises(ValueError, match="exactly one query"):
+            batch_range(tree.store, tree.root_id, queries[:2], 3.0, HAMMING,
+                        tracer=Tracer())
 
     def test_zero_epsilon_finds_exact_copies(self, tree, queries):
         batched = tree.batch_range_query(queries, 0.0)

@@ -7,11 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import HAMMING, JACCARD, LinearScan, SGTree
-from repro.sgtree import SearchStats
+from repro import COSINE, DICE, HAMMING, JACCARD, OVERLAP, LinearScan, SGTree
+from repro.sgtree import SearchStats, search
 from support import random_signature, random_transactions
 
 N_BITS = 130
+ALL_METRICS = [HAMMING, JACCARD, DICE, OVERLAP, COSINE]
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +92,48 @@ class TestBrowse:
             HAMMING.distance(query, t.signature) for t in transactions
         )
         assert stream == brute
+
+
+def traffic(stats: SearchStats) -> tuple:
+    return stats.node_accesses, stats.random_ios, stats.leaf_entries
+
+
+class TestBestFirstIsBrowsePrefix:
+    """Best-first k-NN is the first k items of the browse stream: the
+    same answers and the same traffic, seeded or not."""
+
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", [None, "kth", "mid"])
+    def test_answers_and_stats_match(self, dataset, queries, metric, seed):
+        _, tree, _ = dataset
+        k = 7
+        for query in queries:
+            unseeded = tree.nearest(query, k=k, metric=metric,
+                                    algorithm="best-first")
+            cap = {None: None, "kth": unseeded[-1].distance,
+                   "mid": unseeded[k // 2].distance}[seed]
+            knn_stats, browse_stats = SearchStats(), SearchStats()
+            got = tree.nearest(query, k=k, metric=metric,
+                               algorithm="best-first", stats=knn_stats,
+                               initial_threshold=cap)
+            prefix = list(itertools.islice(search.browse(
+                tree.store, tree.root_id, query, metric, stats=browse_stats,
+                initial_threshold=cap,
+            ), k))
+            assert got == prefix
+            assert traffic(knn_stats) == traffic(browse_stats)
+            # the seed binds exactly when it leaves the answer short of k,
+            # which depth-first reports the same way
+            depth_stats = SearchStats()
+            tree.nearest(query, k=k, metric=metric, stats=depth_stats,
+                         initial_threshold=cap)
+            assert knn_stats.bound_provenance == depth_stats.bound_provenance
+
+    def test_seeded_stream_is_a_prefix_filter(self, dataset, queries):
+        _, tree, _ = dataset
+        query = queries[4]
+        full = list(tree.browse(query))
+        cap = full[len(full) // 3].distance
+        seeded = list(search.browse(tree.store, tree.root_id, query, HAMMING,
+                                    initial_threshold=cap))
+        assert seeded == [n for n in full if n.distance <= cap]

@@ -241,7 +241,7 @@ class TestSnapshotQuerySurface:
         in_query = threading.Event()
         resume = threading.Event()
         order = []
-        original = search.knn
+        original = search.knn_depth_first
 
         def paused_knn(*args, **kwargs):
             in_query.set()
@@ -250,7 +250,7 @@ class TestSnapshotQuerySurface:
             order.append("query")
             return result
 
-        monkeypatch.setattr(search, "knn", paused_knn)
+        monkeypatch.setattr(search, "knn_depth_first", paused_knn)
 
         def reader():
             with index.snapshot() as snap:

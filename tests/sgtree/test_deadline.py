@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -29,6 +30,20 @@ def tree():
 def queries():
     rng = np.random.default_rng(31)
     return [random_signature(rng, N_BITS, max_items=12) for _ in range(12)]
+
+
+class ExpiresAfter(Deadline):
+    """A deadline that expires after a fixed number of node checks, so a
+    test can stop a traversal partway through its walk."""
+
+    def __init__(self, checks: int):
+        super().__init__(math.inf)
+        self.checks = checks
+
+    def check(self) -> None:
+        self.checks -= 1
+        if self.checks < 0:
+            raise QueryTimeout(0.0, 0.0)
 
 
 class TestDeadline:
@@ -80,6 +95,26 @@ class TestTraversalCancellation:
             tree.nearest(queries[0], k=3, algorithm=algorithm,
                          deadline=Deadline.after(0.0))
 
+    @pytest.mark.parametrize("engine", ["depth-first", "best-first", "range"])
+    def test_timeout_mid_walk_accounts_exact_traffic(self, tree, queries,
+                                                      engine):
+        """Stopped partway, every engine still reports exactly the node
+        accesses it paid for."""
+        def run(**kwargs):
+            if engine == "range":
+                return tree.range_query(queries[0], 6.0, **kwargs)
+            return tree.nearest(queries[0], k=5, algorithm=engine, **kwargs)
+
+        full = SearchStats()
+        run(stats=full)
+        assert full.node_accesses > 3
+        stats = SearchStats()
+        before = tree.store.counters.node_accesses
+        with pytest.raises(QueryTimeout):
+            run(stats=stats, deadline=ExpiresAfter(3))
+        paid = tree.store.counters.node_accesses - before
+        assert stats.node_accesses == paid == 3
+
     def test_range_aborts(self, tree, queries):
         with pytest.raises(QueryTimeout):
             tree.range_query(queries[0], 4.0, deadline=Deadline.after(0.0))
@@ -117,7 +152,7 @@ class TestTraversalCancellation:
         with pytest.raises(QueryTimeout):
             concurrent.containment_query(queries[0], deadline=Deadline.after(0.0))
 
-    def test_executor_forwards_deadline(self, tree, queries):
+    def test_concurrent_batch_forwards_deadline(self, tree, queries):
         """Batches through the concurrent facade honour the one deadline."""
         concurrent = ConcurrentSGTree(tree)
         stats = SearchStats()
@@ -130,7 +165,7 @@ class TestTraversalCancellation:
         # the stats scope flushes on the way out of the failed traversal
         assert stats.node_accesses >= 0
 
-    def test_executor_zero_budget_rejects_before_dispatch(self, tree, queries):
+    def test_batch_zero_budget_reads_no_node(self, tree, queries):
         """An already-expired budget fails before the first node read,
         even for a kNN batch that spans several 64-query blocks, so the
         tree sees no traffic at all."""

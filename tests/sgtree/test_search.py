@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    COSINE,
+    DICE,
     HAMMING,
     JACCARD,
+    OVERLAP,
     HammingMetric,
     LinearScan,
     SGTree,
@@ -123,6 +126,16 @@ class TestRange:
         _, tree, scan = dataset
         for query in queries:
             assert tree.range_query(query, epsilon) == scan.range_query(query, epsilon)
+
+    @pytest.mark.parametrize("metric", [JACCARD, DICE, OVERLAP, COSINE],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4, 0.7])
+    def test_ratio_metrics_match_linear_scan(self, dataset, queries, metric,
+                                             epsilon):
+        _, tree, scan = dataset
+        for query in queries:
+            assert tree.range_query(query, epsilon, metric=metric) == \
+                scan.range_query(query, epsilon, metric=metric)
 
     def test_negative_epsilon(self, dataset):
         _, tree, _ = dataset

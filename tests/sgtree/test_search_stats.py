@@ -61,7 +61,7 @@ class TestAggregate:
         assert total.node_accesses == 0
         assert total.hit_ratio is None
 
-    def test_executor_batch_ratio_defined_even_with_idle_shards(self, tree):
+    def test_blocked_batch_ratio_is_defined(self, tree):
         # a kNN batch past one 64-query block: the last block is tiny but
         # every block's work lands in one summed, NaN-safe total
         rng = np.random.default_rng(8)

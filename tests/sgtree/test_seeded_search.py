@@ -148,6 +148,16 @@ class TestSeededEnginePrefixFilter:
         assert seeded.node_accesses <= plain.node_accesses
 
 
+@pytest.mark.parametrize("algorithm", ["depth-first", "best-first"])
+def test_engines_reject_bad_k_and_seeds(tree, queries, algorithm):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        tree.nearest(queries[0], k=0, algorithm=algorithm)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="non-negative"):
+            tree.nearest(queries[0], k=K, algorithm=algorithm,
+                         initial_threshold=bad)
+
+
 class TestSeededFixedAreaHamming:
     """The §6 fixed-dimensionality bound honours the same contract on
     data that actually has the fixed dimensionality."""
