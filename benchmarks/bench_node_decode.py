@@ -11,7 +11,9 @@ that buys on the batched k-NN workload of ``bench_batch_throughput``
 * ``disk_cold`` — a disk-mode reopen of the same index with the buffer
   dropped before the pass: each visit pays a real page read + decode
   (the fault path: the decoded arrays become the node, with no
-  per-entry objects).
+  per-entry objects).  Its ``fault_us_per_page`` is what one buffer
+  miss costs on its own — slot ``pread``, CRC, decode, node — timed
+  over a sweep that faults every page of the index once.
 * ``disk_warm`` — the same pass again with the buffer hot: decode calls
   per query must fall below 1 (visits read kept arrays, not parses).
 
@@ -80,6 +82,29 @@ def _row(label: str, elapsed: float, per_pass: int, total: int,
     return row
 
 
+def _fault_us_per_page(tree, repeat: int) -> float:
+    """Best-of-``repeat`` mean microseconds of one buffer miss: every
+    page of the index read once into an empty buffer."""
+    store = tree.store
+    page_ids, pending = [], [tree.root_id]
+    while pending:
+        page_ids.append(pending.pop())
+        node = store.read(page_ids[-1])
+        if not node.is_leaf:
+            pending.extend(node.entry_refs().tolist())
+    del node  # a node still referenced is revived, not faulted
+    best = float("inf")
+    for _ in range(repeat):
+        store.clear_cache()
+        decodes = store.counters.node_decodes
+        start = time.perf_counter()
+        for page_id in page_ids:
+            store.read(page_id)
+        best = min(best, time.perf_counter() - start)
+        assert store.counters.node_decodes - decodes == len(page_ids)
+    return best / len(page_ids) * 1e6
+
+
 def run_benchmark(repeat: int = 3, k: int = K) -> dict:
     """Measure the four passes; returns the result document."""
     queries = max(BATCH_SIZE, n_queries(BATCH_SIZE))
@@ -127,6 +152,7 @@ def run_benchmark(repeat: int = 3, k: int = K) -> dict:
 
             cold_results, cold_row = measure(cold, store, "disk_cold",
                                              batch_size=BATCH_SIZE)
+            cold_row["fault_us_per_page"] = _fault_us_per_page(disk, repeat)
             # one untimed pass so the warm measurement starts hot
             disk.batch_nearest(batch, k=k)
             warm_results, warm_row = measure(
@@ -172,6 +198,9 @@ def _summarise(doc: dict) -> str:
             f"{'n/a' if ratio is None else format(ratio, '.2f')}"
         )
     lines.append(
+        f"  one buffer miss: {doc['disk_cold']['fault_us_per_page']:.1f} us/page"
+    )
+    lines.append(
         f"  batched vs sequential: "
         f"{doc['speedup_batched_vs_sequential']:.2f}x"
     )
@@ -215,6 +244,7 @@ class TestNodeDecode:
         assert doc["benchmark"] == "node_decode"
         for key in ("sequential", "batched", "disk_cold", "disk_warm"):
             assert doc[key]["qps"] > 0
+        assert doc["disk_cold"]["fault_us_per_page"] > 0
 
 
 def test_benchmark_warm_decode(results, benchmark):

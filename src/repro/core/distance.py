@@ -12,7 +12,9 @@ property of directory entries yields *admissible* bounds:
 
 Each metric is a small strategy object so the tree, the table and the
 baselines share one definition.  Vectorised forms (one query against a
-signature matrix) are provided for the hot paths.
+signature matrix) are provided for the hot paths.  Every division clamps
+its denominator away from zero (to 1, or 1e-12 for cosine), so no form
+divides by zero and none needs a floating-point error-state guard.
 """
 
 from __future__ import annotations
@@ -194,8 +196,7 @@ class HammingMetric(Metric):
 
 def _jaccard_distance(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
     """1 − |∩|/|∪| with the empty-vs-empty case defined as distance 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sim = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    sim = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
     return 1.0 - sim
 
 
@@ -286,8 +287,7 @@ class DiceMetric(Metric):
         inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
         areas = np.asarray(bitops.popcount(matrix), dtype=np.float64)
         total = areas + query.area
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(total > 0, 2.0 * inter / np.maximum(total, 1), 1.0)
+        sim = np.where(total > 0, 2.0 * inter / np.maximum(total, 1), 1.0)
         return 1.0 - sim
 
     def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
@@ -323,8 +323,7 @@ class DiceMetric(Metric):
         inter = inter.astype(np.float64)
         areas = entry_areas.astype(np.float64)
         total = areas[None, :] + query_areas.astype(np.float64)[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(total > 0, 2.0 * inter / np.maximum(total, 1), 1.0)
+        sim = np.where(total > 0, 2.0 * inter / np.maximum(total, 1), 1.0)
         return 1.0 - sim
 
     def lower_bound_matrix_from_counts(
@@ -362,12 +361,11 @@ class OverlapMetric(Metric):
         inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
         areas = np.asarray(bitops.popcount(matrix), dtype=np.float64)
         denom = np.minimum(areas, query.area)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(
-                denom > 0,
-                inter / np.maximum(denom, 1),
-                np.where(areas == query.area, 1.0, 0.0),
-            )
+        sim = np.where(
+            denom > 0,
+            inter / np.maximum(denom, 1),
+            np.where(areas == query.area, 1.0, 0.0),
+        )
         return 1.0 - sim
 
     def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
@@ -405,12 +403,11 @@ class OverlapMetric(Metric):
         areas = entry_areas.astype(np.float64)[None, :]
         q_areas = query_areas.astype(np.float64)[:, None]
         denom = np.minimum(areas, q_areas)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(
-                denom > 0,
-                inter / np.maximum(denom, 1),
-                np.where(areas == q_areas, 1.0, 0.0),
-            )
+        sim = np.where(
+            denom > 0,
+            inter / np.maximum(denom, 1),
+            np.where(areas == q_areas, 1.0, 0.0),
+        )
         return 1.0 - sim
 
     def lower_bound_matrix_from_counts(
@@ -442,12 +439,11 @@ class CosineMetric(Metric):
         inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
         areas = np.asarray(bitops.popcount(matrix), dtype=np.float64)
         denom = np.sqrt(areas * query.area)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(
-                denom > 0,
-                inter / np.maximum(denom, 1e-12),
-                np.where(areas == query.area, 1.0, 0.0),
-            )
+        sim = np.where(
+            denom > 0,
+            inter / np.maximum(denom, 1e-12),
+            np.where(areas == query.area, 1.0, 0.0),
+        )
         return 1.0 - sim
 
     def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
@@ -484,12 +480,11 @@ class CosineMetric(Metric):
         areas = entry_areas.astype(np.float64)[None, :]
         q_areas = query_areas.astype(np.float64)[:, None]
         denom = np.sqrt(areas * q_areas)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(
-                denom > 0,
-                inter / np.maximum(denom, 1e-12),
-                np.where(areas == q_areas, 1.0, 0.0),
-            )
+        sim = np.where(
+            denom > 0,
+            inter / np.maximum(denom, 1e-12),
+            np.where(areas == q_areas, 1.0, 0.0),
+        )
         return 1.0 - sim
 
     def lower_bound_matrix_from_counts(

@@ -96,12 +96,15 @@ class Node:
     objects.
 
     Search reads a node through its arrays: the ``(n_entries, n_words)``
-    signature matrix, per-entry areas and refs, and the Section-6
-    statistics vectors.  They are built at once (on the first accessor
-    call or :meth:`NodeStore.read`), are read-only however they were
-    built, and are dropped only by :meth:`invalidate`, which every
-    mutation calls.  Once built, each accessor returns its array with no
-    check; an array not built yet is an unset slot.
+    signature matrix, per-entry refs, and the Section-6 statistics
+    vectors.  They are built at once (on the first accessor call or
+    :meth:`NodeStore.read`), are read-only however they were built, and
+    are dropped only by :meth:`invalidate`, which every mutation calls.
+    Once built, each accessor returns its array with no check; an array
+    not built yet is an unset slot.  Per-entry areas follow the same
+    rules but are counted on the first :meth:`entry_areas` call, since
+    a fault should cost no popcount that a Hamming leaf sweep never
+    reads.
 
     Concurrent readers share one ``Node``.  That is safe because every
     concurrent writer mutates private clones inside a
@@ -162,8 +165,7 @@ class Node:
         ranges: "tuple[np.ndarray, np.ndarray] | None",
         counts: np.ndarray | None,
     ) -> None:
-        areas = np.asarray(bitops.popcount(matrix), dtype=np.int64)
-        for array in (matrix, refs, areas, counts, *(ranges or ())):
+        for array in (matrix, refs, counts, *(ranges or ())):
             if array is not None:
                 array.setflags(write=False)
         self.matrix_ptr = matrix.ctypes.data if matrix.flags.c_contiguous else None
@@ -173,7 +175,6 @@ class Node:
             else None
         )
         self._matrix = matrix
-        self._areas = areas
         self._area_ranges = ranges
         self._counts = counts
         self._refs = refs  # last: a set ``_refs`` means every array is set
@@ -287,17 +288,24 @@ class Node:
             return self._matrix
 
     def entry_areas(self) -> np.ndarray:
-        """Per-entry signature popcounts.
+        """Per-entry signature popcounts, read-only.
 
-        Search visits a node's areas on every traversal (visit-order
-        tie-breaks, best-first priorities, Dice/overlap/cosine
-        denominators), so they are kept beside the matrix.
+        Directory visit orders, best-first priorities and the ratio
+        metrics' leaf distances read them; a Hamming leaf sweep never
+        does.  So they are counted on the first call, not when the
+        arrays are built, and kept beside the matrix until
+        :meth:`invalidate`.  Two readers racing on the first call store
+        equal arrays.
         """
         try:
             return self._areas
         except AttributeError:
-            self._stack_arrays()
-            return self._areas
+            areas = np.asarray(
+                bitops.popcount(self.signature_matrix()), dtype=np.int64
+            )
+            areas.setflags(write=False)
+            self._areas = areas
+            return areas
 
     def entry_refs(self) -> np.ndarray:
         """Per-entry refs (tids or child page ids)."""
@@ -395,8 +403,10 @@ class Node:
         if self._entries is None:
             self._entries = self._build_entries()
         self.matrix_ptr = self.refs_ptr = None
+        if hasattr(self, "_areas"):
+            del self._areas
         if hasattr(self, "_refs"):
-            del self._refs, self._matrix, self._areas, self._area_ranges, self._counts
+            del self._refs, self._matrix, self._area_ranges, self._counts
 
     def find_ref(self, ref: int) -> int | None:
         """Index of the entry pointing at ``ref``, or ``None``."""

@@ -198,16 +198,19 @@ class FilePager(Pager):
         self.stats = IOStats()
         self._slot_size = _SLOT_HEADER.size + page_size
         self._path = os.fspath(path)
-        # "r+b" honours seeks for writing ("a+b" would force every write
-        # to append at EOF); "w+b" creates the file on first use.
+        # Unbuffered: every slot moves with one position-free pread or
+        # pwrite on the descriptor, so no user-space copy can go stale
+        # behind a write, and concurrent readers share no file offset.
+        # "r+b" opens an existing file without truncating it; "w+b"
+        # creates the file on first use.
         file_mode = "r+b" if os.path.exists(self._path) else "w+b"
-        self._file = open(self._path, file_mode)
-        self._file.seek(0, os.SEEK_END)
+        self._file = open(self._path, file_mode, buffering=0)
+        self._fd = self._file.fileno()
         # Round partial trailing bytes *up* into a slot: a file whose
         # final slot was torn mid-write must keep that page addressable
         # (and fail its read with PageCorruptError) rather than silently
         # shrink the store.
-        size = self._file.tell()
+        size = os.fstat(self._fd).st_size
         self._next_id: PageId = (size + self._slot_size - 1) // self._slot_size
         self._free_list: list[PageId] = []
         self._live: set[PageId] = set(range(self._next_id))
@@ -225,15 +228,12 @@ class FilePager(Pager):
         self.stats.allocations += 1
         if self._free_list:
             page_id = self._free_list.pop()
-            # Zero the recycled slot so stale bytes from its previous
-            # owner can never be served back as a valid page.
-            self._file.seek(page_id * self._slot_size)
-            self._file.write(b"\x00" * self._slot_size)
         else:
             page_id = self._next_id
             self._next_id += 1
-            self._file.seek(page_id * self._slot_size)
-            self._file.write(b"\x00" * self._slot_size)
+        # Zero the slot: a recycled one must never serve its previous
+        # owner's bytes back as a valid page.
+        self._write_at(page_id, bytes(self._slot_size))
         self._live.add(page_id)
         return page_id
 
@@ -252,8 +252,7 @@ class FilePager(Pager):
                 f"{len(page.data)} bytes exceed page size {self.page_size}"
             )
         self.stats.writes += 1
-        self._file.seek(page.page_id * self._slot_size)
-        self._file.write(self._slot_image(page.data))
+        self._write_at(page.page_id, self._slot_image(page.data))
 
     def free(self, page_id: PageId) -> None:
         if page_id not in self._live:
@@ -268,8 +267,7 @@ class FilePager(Pager):
         if page_id in self._free_list:
             self._free_list.remove(page_id)
         while self._next_id <= page_id:
-            self._file.seek(self._next_id * self._slot_size)
-            self._file.write(b"\x00" * self._slot_size)
+            self._write_at(self._next_id, bytes(self._slot_size))
             self._next_id += 1
         self._live.add(page_id)
 
@@ -277,9 +275,8 @@ class FilePager(Pager):
         return len(self._live)
 
     def sync(self) -> None:
-        """Flush and fsync the page file to stable storage."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        """Fsync the page file to stable storage."""
+        os.fsync(self._fd)
 
     def close(self) -> None:
         self._file.close()
@@ -307,9 +304,18 @@ class FilePager(Pager):
     def _slot_image(self, data: bytes) -> bytes:
         return _SLOT_HEADER.pack(_slot_crc(data), len(data)) + data
 
+    def _write_at(self, page_id: PageId, image: bytes) -> None:
+        """Write ``image`` at the start of slot ``page_id`` with one
+        position-free ``pwrite`` (looping only on a short write)."""
+        position = page_id * self._slot_size
+        view = memoryview(image)
+        while view:
+            written = os.pwrite(self._fd, view, position)
+            view = view[written:]
+            position += written
+
     def _read_slot(self, page_id: PageId) -> bytes:
-        self._file.seek(page_id * self._slot_size)
-        raw = self._file.read(self._slot_size)
+        raw = os.pread(self._fd, self._slot_size, page_id * self._slot_size)
         if len(raw) < _SLOT_HEADER.size:
             raise PageCorruptError(page_id, "truncated slot header")
         crc, length = _SLOT_HEADER.unpack_from(raw)
@@ -335,9 +341,7 @@ class FilePager(Pager):
         simulates a torn write at the device level (the checksum layer
         must catch it on the next read)."""
         image = self._slot_image(page.data)
-        self._file.seek(page.page_id * self._slot_size)
-        self._file.write(image[: max(0, min(keep_bytes, len(image)))])
-        self._file.flush()
+        self._write_at(page.page_id, image[: max(0, min(keep_bytes, len(image)))])
 
     def corrupt(self, page_id: PageId, bit: int = 0) -> None:
         """Flip one bit of a stored slot payload — simulates bit rot.
@@ -345,8 +349,7 @@ class FilePager(Pager):
         slack beyond the stored length is invisible to the checksum and
         harmless by construction); it is wrapped to stay in range, so any
         integer is a valid fault location."""
-        self._file.seek(page_id * self._slot_size)
-        raw = bytearray(self._file.read(self._slot_size))
+        raw = bytearray(os.pread(self._fd, self._slot_size, page_id * self._slot_size))
         region = len(raw) - _SLOT_HEADER.size
         if region <= 0:
             return
@@ -355,9 +358,7 @@ class FilePager(Pager):
             region = length
         bit %= region * 8
         raw[_SLOT_HEADER.size + bit // 8] ^= 1 << (bit % 8)
-        self._file.seek(page_id * self._slot_size)
-        self._file.write(raw)
-        self._file.flush()
+        self._write_at(page_id, raw)
 
 
 __all__ = [

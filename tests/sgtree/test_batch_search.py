@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -22,9 +22,16 @@ from repro import (
     SGTree,
     Signature,
 )
+from repro.core import bitops
 from repro.errors import QueryTimeout
 from repro.sgtree import Deadline, SearchStats
-from repro.sgtree.search import KnnHeap, batch_knn, batch_range
+from repro.sgtree.search import (
+    KnnHeap,
+    _BatchContext,
+    _directory_bounds,
+    batch_knn,
+    batch_range,
+)
 from repro.telemetry.tracing import Tracer
 from support import random_signature, random_transactions
 
@@ -134,6 +141,7 @@ class TestBatchKnn:
         assert stats.buffer_hits == stats.node_accesses - stats.random_ios
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @example(177814405)  # cosine: five rows tie at 1 − 1/sqrt(3)
     @settings(max_examples=10, deadline=None)
     def test_property_random_batches(self, seed):
         """Fresh tree + fresh queries per example, all metrics at once."""
@@ -198,6 +206,71 @@ class TestBatchKnnBlocks:
             batch_knn(tree.store, tree.root_id, batch, 4, HAMMING,
                       deadline=Deadline.after(0.0))
         assert tree.store.counters.node_accesses == before
+
+
+class TestDirectoryBounds:
+    """The bounds both engines prune with never exceed the distance
+    they compute to any transaction under the entry, for every metric —
+    exactly, with no tolerance: a bound one ulp above a tied distance
+    drops that tie."""
+
+    N_ITEMS = 12  # a small universe: members inside the query are common
+
+    @staticmethod
+    def _members(tree, signatures, page_id):
+        """Signature matrix of every transaction under ``page_id``."""
+        node = tree.store.read(page_id)
+        if node.is_leaf:
+            return [signatures[tid] for tid in node.entry_refs().tolist()]
+        return [
+            row
+            for child in node.entry_refs().tolist()
+            for row in TestDirectoryBounds._members(tree, signatures, child)
+        ]
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @example(177814405)
+    @settings(max_examples=15, deadline=None)
+    def test_property_bound_never_exceeds_member_distance(self, seed):
+        n_bits = self.N_ITEMS
+        trees = {}
+        for fixed in (False, True):
+            rows = random_transactions(
+                seed=seed, count=60, n_bits=n_bits,
+                min_items=8 if fixed else 1, max_items=8 if fixed else 6,
+            )
+            tree = SGTree(n_bits, max_entries=4)
+            tree.insert_many(rows)
+            trees[fixed] = tree, {t.tid: t.signature.words for t in rows}
+        rng = np.random.default_rng(seed + 1)
+        queries = [random_signature(rng, n_bits, max_items=8) for _ in range(6)]
+        for metric in ALL_METRICS:
+            tree, signatures = trees[getattr(metric, "fixed_area", None) is not None]
+            ctx = _BatchContext(queries, metric)
+            everyone = np.arange(len(queries))
+            pending = [tree.root_id]
+            while pending:
+                node = tree.store.read(pending.pop())
+                if node.is_leaf:
+                    continue
+                refs = node.entry_refs().tolist()
+                pending.extend(refs)
+                batched = ctx.directory_bounds(metric, node, everyone)
+                single = [_directory_bounds(metric, q, node) for q in queries]
+                for e, child in enumerate(refs):
+                    members = np.stack(self._members(tree, signatures, child))
+                    areas = np.asarray(bitops.popcount(members), dtype=np.int64)
+                    swept = metric.distance_matrix_from_counts(
+                        bitops.cross_intersect_count(ctx.qmatrix, members),
+                        ctx.qareas, areas,
+                    )
+                    for q, query in enumerate(queries):
+                        nearest = min(
+                            metric.distance_many(query, members).min(),
+                            swept[q].min(),
+                        )
+                        assert single[q][e] <= nearest, (metric.name, q, child)
+                        assert batched[q, e] <= nearest, (metric.name, q, child)
 
 
 class TestBatchRange:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import SGTree, Signature, recover_tree
+from repro.core import bitops
 from repro.sgtree import ConcurrentSGTree, validate_tree
 from repro.sgtree.node import Entry
 from repro.sgtree.persistence import load_tree, save_tree
@@ -179,6 +180,58 @@ class TestEveryFaultBuildsArrays:
             assert dict(disk.items()) == dict(tree.items())
         finally:
             disk.store.pager.close()
+
+
+class TestLeafAreasOnDemand:
+    """A fault counts no areas; ``entry_areas()`` counts them once."""
+
+    @pytest.fixture
+    def disk(self, built, tmp_path):
+        tree, _ = built
+        save_tree(tree, tmp_path / "areas.sgt")
+        disk = load_tree(tmp_path / "areas.sgt", frames=None)
+        yield disk
+        disk.store.pager.close()
+
+    @staticmethod
+    def _a_leaf(disk) -> int:
+        page_id = disk.root_id
+        while not disk.store.read(page_id).is_leaf:
+            page_id = int(disk.store.read(page_id).entry_refs()[0])
+        return page_id
+
+    def test_leaf_fault_builds_no_areas(self, disk, monkeypatch):
+        page_id = self._a_leaf(disk)
+        disk.store.clear_cache()
+        counted = []
+        popcount = bitops.popcount
+        monkeypatch.setattr(
+            bitops, "popcount", lambda words: counted.append(1) or popcount(words)
+        )
+        decodes = disk.store.counters.node_decodes
+        node = disk.store.read(page_id)
+        assert disk.store.counters.node_decodes == decodes + 1
+        assert node.is_leaf and counted == []
+        node.entry_areas()
+        node.entry_areas()
+        assert counted == [1]  # counted once, then kept
+
+    def test_entry_areas_read_only_and_kept_through_clone_and_invalidate(
+        self, disk
+    ):
+        node = disk.store.read(self._a_leaf(disk))
+        expected = bitops.popcount(node.signature_matrix()).tolist()
+
+        def check(areas):
+            assert areas.tolist() == expected
+            assert not areas.flags.writeable
+            with pytest.raises(ValueError):
+                areas[0] = 0
+
+        check(node.entry_areas())
+        check(node.clone(page_id=10_000).entry_areas())
+        node.invalidate()
+        check(node.entry_areas())
 
 
 class TestWritersOnLazyNodes:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -221,3 +223,67 @@ class TestSelfVerifyingSlots:
         assert pager.read(3).data == b""
         assert pager.verify(3) is None
         pager.close()
+
+
+class TestPositionFreeSlotIO:
+    """Slots move with one pread/pwrite on an unbuffered descriptor: no
+    user-space copy can serve stale bytes, and readers share no file
+    position."""
+
+    def test_write_visible_to_next_read_without_flush(self, tmp_path):
+        path = tmp_path / "fresh.bin"
+        pager = FilePager(path, page_size=64)
+        pid = pager.allocate()
+        pager.write(Page(page_id=pid, capacity=64, data=b"first"))
+        assert pager.read(pid).data == b"first"
+        pager.write(Page(page_id=pid, capacity=64, data=b"second"))
+        # nothing waits in a user-space buffer: another handle sees the
+        # write before this pager touches the file again
+        other = FilePager(path, page_size=64)
+        assert other.read(pid).data == b"second"
+        other.close()
+        assert pager.read(pid).data == b"second"
+        pager.close()
+
+    def test_bytes_rewritten_behind_the_pager_fail_the_next_read(self, tmp_path):
+        path = tmp_path / "behind.bin"
+        pager = FilePager(path, page_size=64)
+        pid = pager.allocate()
+        pager.write(Page(page_id=pid, capacity=64, data=b"committed payload"))
+        assert pager.read(pid).data == b"committed payload"
+        with open(path, "r+b") as raw:
+            raw.seek(pid * (8 + 64) + 8)
+            raw.write(b"ROTTEN")
+        with pytest.raises(PageCorruptError, match="checksum mismatch"):
+            pager.read(pid)
+        pager.close()
+
+    def test_concurrent_readers_of_different_pages_get_their_own_bytes(
+        self, tmp_path
+    ):
+        pager = FilePager(tmp_path / "shared.bin", page_size=256)
+        payloads = {}
+        for index in range(4):
+            pid = pager.allocate()
+            payloads[pid] = bytes([index + 1]) * (64 + 40 * index)
+            pager.write(Page(page_id=pid, capacity=256, data=payloads[pid]))
+        barrier, wrong = threading.Barrier(len(payloads)), []
+
+        def reader(pid):
+            barrier.wait()
+            for _ in range(2000):
+                if pager.read(pid).data != payloads[pid]:
+                    wrong.append(pid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the readers as often as possible
+        try:
+            threads = [threading.Thread(target=reader, args=(pid,)) for pid in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+            pager.close()
+        assert wrong == []
