@@ -13,7 +13,7 @@ import time
 import pytest
 
 from bench_common import n_queries, report
-from repro import HAMMING, SGTree
+from repro import SGTree
 from repro.data import QuestConfig, QuestGenerator, scaled
 from repro.sgtree import SearchStats
 from repro.sgtree.join import closest_pairs, similarity_join
@@ -56,7 +56,7 @@ def results():
             1
             for a in data_a
             for b in data_b
-            if HAMMING.distance(a.signature, b.signature) <= epsilon
+            if a.signature.hamming(b.signature) <= epsilon
         )
         brute_seconds = time.perf_counter() - start
         assert len(pairs) == brute

@@ -10,11 +10,23 @@ property of directory entries yields *admissible* bounds:
   (every transaction ``t`` under the entry satisfies ``t ⊆ s``), and
 * for similarity coefficients, an **upper bound** on the similarity.
 
-Each metric is a small strategy object so the tree, the table and the
-baselines share one definition.  Vectorised forms (one query against a
-signature matrix) are provided for the hot paths.  Every division clamps
-its denominator away from zero (to 1, or 1e-12 for cosine), so no form
-divides by zero and none needs a floating-point error-state guard.
+Every metric here is a function of the counts ``(|q ∩ t|, |q|, |t|)``
+and every bound of ``(|q ∩ s|, |q|)``, so a metric is exactly two
+methods: :meth:`Metric.distance_matrix_from_counts` and
+:meth:`Metric.lower_bound_matrix_from_counts`.  :class:`Metric` derives
+the scalar, one-vs-many and matrix forms from them and the
+:mod:`~repro.core.bitops` intersect and popcount kernels, so every form
+runs the same float operations on the same exact integer counts and
+returns bit-identical values.  Only :class:`HammingMetric` adds its own
+one-vs-many XOR and AND-NOT kernels, which need no entry areas.
+
+The counts broadcast: one query passes its area as a scalar, a batch as
+a ``(Q, 1)`` column against ``(Q, E)`` counts.  Every denominator is a
+count or the square root of one, so clamping it to at least 1 changes
+only the empty case, and no form divides by zero or needs a
+floating-point error-state guard.  A ratio distance is written
+``(n > 0) - sim``: ``1 − sim`` whenever the pair's size ``n`` is
+positive, and ``0`` for an empty pair (whose ``sim`` is 0).
 """
 
 from __future__ import annotations
@@ -45,29 +57,65 @@ __all__ = [
 class Metric:
     """Base class for set distance metrics over signatures.
 
-    Subclasses implement the scalar and vectorised forms of the distance
-    and of the directory-entry lower bound.  Distances must be
-    non-negative, and ``lower_bound`` must never exceed the distance to any
-    transaction covered by the entry (admissibility — property-tested).
+    A subclass defines :meth:`distance_matrix_from_counts` and
+    :meth:`lower_bound_matrix_from_counts`; every other form is derived
+    here from those two.  Distances must be non-negative, and a lower
+    bound must never exceed the distance to any transaction covered by
+    the entry (admissibility — property-tested).
     """
 
     name: str = "abstract"
 
+    def distance_matrix_from_counts(
+        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
+    ) -> np.ndarray:
+        """Distances from exact integer counts — the metric's definition.
+
+        ``inter`` holds ``|q ∩ t|``, ``query_areas`` ``|q|`` and
+        ``entry_areas`` ``|t|``, broadcasting as described in the module
+        docstring: scalars for one pair, ``(E,)`` counts with a scalar
+        query area for one query, or ``(Q, E)`` counts with a ``(Q, 1)``
+        area column for a batch.  ``|q ∪ t| = |q| + |t| − |q ∩ t|`` and
+        ``|q Δ t| = |q| + |t| − 2|q ∩ t|`` are exact in int64, so the
+        result does not depend on which kernel produced the counts.
+        """
+        raise NotImplementedError
+
+    def lower_bound_matrix_from_counts(
+        self, inter: np.ndarray, query_areas: np.ndarray
+    ) -> np.ndarray:
+        """Directory lower bounds from ``|q ∩ s|`` and ``|q|``.
+
+        Optimistic distance to any transaction covered by the entry
+        signature ``s``; broadcasts like
+        :meth:`distance_matrix_from_counts`.
+        """
+        raise NotImplementedError
+
     def distance(self, query: Signature, other: Signature) -> float:
         """Distance between two transaction signatures."""
-        raise NotImplementedError
+        return float(self.distance_matrix_from_counts(
+            query.intersect_count(other), query.area, other.area
+        ))
 
     def distance_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
         """Distance from ``query`` to each row of a signature matrix."""
-        raise NotImplementedError
+        return self.distance_matrix_from_counts(
+            bitops.intersect_count(matrix, query.words), query.area,
+            bitops.popcount(matrix),
+        )
 
     def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
         """Optimistic distance to any transaction covered by ``entry_sig``."""
-        raise NotImplementedError
+        return float(self.lower_bound_matrix_from_counts(
+            query.intersect_count(entry_sig), query.area
+        ))
 
     def lower_bound_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`lower_bound` over a directory-entry matrix."""
-        raise NotImplementedError
+        return self.lower_bound_matrix_from_counts(
+            bitops.intersect_count(matrix, query.words), query.area
+        )
 
     def distance_matrix(
         self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
@@ -77,45 +125,23 @@ class Metric:
         ``queries`` is a ``(Q, n_words)`` stack of query signatures,
         ``query_areas`` the matching ``(Q,)`` popcounts, and ``matrix`` a
         ``(E, n_words)`` node matrix.  Row ``q`` equals
-        ``distance_many(queries[q], matrix)`` bit-for-bit: the matrix form
-        performs the same integer popcounts and the same float64
-        operations elementwise, so batched search returns distances
-        identical to the single-query engine.
+        ``distance_many(queries[q], matrix)`` bit-for-bit.
         """
-        raise NotImplementedError
+        return self.distance_matrix_from_counts(
+            bitops.cross_intersect_count(queries, matrix), query_areas[:, None],
+            bitops.popcount(matrix),
+        )
 
     def lower_bound_matrix(
         self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
     ) -> np.ndarray:
         """``(Q, E)`` directory lower bounds, one row per query.
 
-        Row ``q`` equals ``lower_bound_many(queries[q], matrix)`` exactly
-        (same admissibility, same float values) — see
-        :meth:`distance_matrix`.
+        Row ``q`` equals ``lower_bound_many(queries[q], matrix)`` exactly.
         """
-        raise NotImplementedError
-
-    def distance_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`distance_matrix` from precomputed integer counts.
-
-        ``inter`` is the ``(Q, E)`` intersection-count matrix,
-        ``query_areas``/``entry_areas`` the exact ``(Q,)``/``(E,)``
-        popcounts.  Every set-theoretic metric here is a function of
-        ``(|q ∩ t|, |q|, |t|)`` alone — ``|q ∪ t| = |q| + |t| - |q ∩ t|``
-        and ``|q Δ t| = |q| + |t| - 2|q ∩ t|`` are exact in int64 — so
-        this form returns floats bit-identical to :meth:`distance_matrix`
-        regardless of which kernel produced the counts.  The matrix forms
-        delegate here, keeping one definition per metric.
-        """
-        raise NotImplementedError
-
-    def lower_bound_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`lower_bound_matrix` from precomputed integer counts."""
-        raise NotImplementedError
+        return self.lower_bound_matrix_from_counts(
+            bitops.cross_intersect_count(queries, matrix), query_areas[:, None]
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -130,74 +156,41 @@ class HammingMetric(Metric):
     ``fixed_area`` is set (categorical data of fixed dimensionality ``d``,
     Section 6), the stricter bound
     ``|q| + d − 2·min(|q ∩ s|, d)`` is used instead.
+
+    Its one-vs-many forms are the XOR and AND-NOT popcounts, which read
+    no entry areas; every value is an exact small integer, so they agree
+    with the counts forms bit for bit.
     """
 
     fixed_area: int | None = None
     name = "hamming"
 
-    def distance(self, query: Signature, other: Signature) -> float:
-        return float(query.hamming(other))
-
     def distance_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
         return np.asarray(bitops.hamming(matrix, query.words), dtype=np.float64)
-
-    def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
-        missing = bitops.difference_count(query.words, entry_sig.words)
-        if self.fixed_area is None:
-            return float(missing)
-        common = query.area - missing
-        best_common = min(common, self.fixed_area, query.area)
-        return float(query.area + self.fixed_area - 2 * best_common)
 
     def lower_bound_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
         # |q \ sig| per row: one AND-NOT, one popcount-reduce.
         missing = np.bitwise_count(
             np.bitwise_and(query.words, np.bitwise_not(matrix))
-        ).sum(axis=-1, dtype=np.int64).astype(np.float64)
+        ).sum(axis=-1, dtype=np.int64)
         if self.fixed_area is None:
-            return missing
-        common = query.area - missing
-        capped = np.minimum(common, min(self.fixed_area, query.area))
-        return query.area + self.fixed_area - 2.0 * capped
-
-    def distance_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        return bitops.cross_hamming(queries, matrix).astype(np.float64)
-
-    def lower_bound_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        inter = bitops.cross_intersect_count(queries, matrix)
-        return self.lower_bound_matrix_from_counts(
-            inter, query_areas, np.empty(0, dtype=np.int64)
-        )
+            return missing.astype(np.float64)
+        return self.lower_bound_matrix_from_counts(query.area - missing, query.area)
 
     def distance_matrix_from_counts(
         self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
     ) -> np.ndarray:
-        # |q Δ t| = |q| + |t| − 2|q ∩ t|, exact in int64.
-        return (
-            query_areas[:, None] + entry_areas[None, :] - 2 * inter
-        ).astype(np.float64)
+        # |q Δ t| = |q| + |t| − 2|q ∩ t|
+        return query_areas + entry_areas - 2.0 * inter
 
     def lower_bound_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
+        self, inter: np.ndarray, query_areas: np.ndarray
     ) -> np.ndarray:
-        # |q \ s| = |q| − |q ∩ s|, exact in int64.
-        missing = (query_areas[:, None] - inter).astype(np.float64)
         if self.fixed_area is None:
-            return missing
-        areas = query_areas.astype(np.float64)[:, None]
-        common = areas - missing
-        capped = np.minimum(common, np.minimum(float(self.fixed_area), areas))
-        return areas + self.fixed_area - 2.0 * capped
-
-
-def _jaccard_distance(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
-    """1 − |∩|/|∪| with the empty-vs-empty case defined as distance 0."""
-    sim = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-    return 1.0 - sim
+            # |q \ s| = |q| − |q ∩ s|
+            return np.subtract(query_areas, inter, dtype=np.float64)
+        capped = np.minimum(inter, np.minimum(query_areas, self.fixed_area))
+        return query_areas + self.fixed_area - 2.0 * capped
 
 
 @dataclass(frozen=True, repr=False)
@@ -207,64 +200,21 @@ class JaccardMetric(Metric):
     For a directory entry ``s`` covering every ``t`` below it,
     ``|q ∩ t| ≤ |q ∩ s|`` and ``|q ∪ t| ≥ |q|``, so the similarity is at
     most ``|q ∩ s| / |q|`` and the distance at least one minus that.
+    Two empty sets are at distance 0.
     """
 
     name = "jaccard"
 
-    def distance(self, query: Signature, other: Signature) -> float:
-        inter = query.intersect_count(other)
-        union = query.union_count(other)
-        if union == 0:
-            return 0.0
-        return 1.0 - inter / union
-
-    def distance_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        union = np.asarray(bitops.union_count(matrix, query.words), dtype=np.float64)
-        return _jaccard_distance(inter, union)
-
-    def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
-        if query.area == 0:
-            return 0.0
-        covered = query.intersect_count(entry_sig)
-        return 1.0 - covered / query.area
-
-    def lower_bound_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        if query.area == 0:
-            return np.zeros(matrix.shape[0], dtype=np.float64)
-        covered = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        return 1.0 - covered / query.area
-
-    def distance_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        inter = bitops.cross_intersect_count(queries, matrix)
-        entry_areas = np.asarray(bitops.popcount(matrix), dtype=np.int64)
-        return self.distance_matrix_from_counts(inter, query_areas, entry_areas)
-
-    def lower_bound_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        covered = bitops.cross_intersect_count(queries, matrix)
-        return self.lower_bound_matrix_from_counts(
-            covered, query_areas, np.empty(0, dtype=np.int64)
-        )
-
     def distance_matrix_from_counts(
         self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
     ) -> np.ndarray:
-        # |q ∪ t| = |q| + |t| − |q ∩ t|, exact in int64.
-        union = (
-            query_areas[:, None] + entry_areas[None, :] - inter
-        ).astype(np.float64)
-        return _jaccard_distance(inter.astype(np.float64), union)
+        union = query_areas + entry_areas - inter
+        return (union > 0) - inter / np.maximum(union, 1)
 
     def lower_bound_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
+        self, inter: np.ndarray, query_areas: np.ndarray
     ) -> np.ndarray:
-        areas = query_areas.astype(np.float64)[:, None]
-        covered = inter.astype(np.float64)
-        return np.where(areas > 0, 1.0 - covered / np.maximum(areas, 1.0), 0.0)
+        return (query_areas > 0) - inter / np.maximum(query_areas, 1)
 
 
 @dataclass(frozen=True, repr=False)
@@ -277,69 +227,25 @@ class DiceMetric(Metric):
 
     name = "dice"
 
-    def distance(self, query: Signature, other: Signature) -> float:
-        total = query.area + other.area
-        if total == 0:
-            return 0.0
-        return 1.0 - 2.0 * query.intersect_count(other) / total
-
-    def distance_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        areas = np.asarray(bitops.popcount(matrix), dtype=np.float64)
-        total = areas + query.area
-        sim = np.where(total > 0, 2.0 * inter / np.maximum(total, 1), 1.0)
-        return 1.0 - sim
-
-    def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
-        if query.area == 0:
-            return 0.0
-        covered = query.intersect_count(entry_sig)
-        return max(0.0, 1.0 - min(1.0, 2.0 * covered / query.area))
-
-    def lower_bound_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        if query.area == 0:
-            return np.zeros(matrix.shape[0], dtype=np.float64)
-        covered = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        return np.maximum(0.0, 1.0 - np.minimum(1.0, 2.0 * covered / query.area))
-
-    def distance_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        inter = bitops.cross_intersect_count(queries, matrix)
-        entry_areas = np.asarray(bitops.popcount(matrix), dtype=np.int64)
-        return self.distance_matrix_from_counts(inter, query_areas, entry_areas)
-
-    def lower_bound_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        covered = bitops.cross_intersect_count(queries, matrix)
-        return self.lower_bound_matrix_from_counts(
-            covered, query_areas, np.empty(0, dtype=np.int64)
-        )
-
     def distance_matrix_from_counts(
         self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
     ) -> np.ndarray:
-        inter = inter.astype(np.float64)
-        areas = entry_areas.astype(np.float64)
-        total = areas[None, :] + query_areas.astype(np.float64)[:, None]
-        sim = np.where(total > 0, 2.0 * inter / np.maximum(total, 1), 1.0)
-        return 1.0 - sim
+        total = query_areas + entry_areas
+        return (total > 0) - 2.0 * inter / np.maximum(total, 1)
 
     def lower_bound_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
+        self, inter: np.ndarray, query_areas: np.ndarray
     ) -> np.ndarray:
-        q_areas = query_areas.astype(np.float64)[:, None]
-        covered = inter.astype(np.float64)
-        bound = np.maximum(
-            0.0, 1.0 - np.minimum(1.0, 2.0 * covered / np.maximum(q_areas, 1.0))
-        )
-        return np.where(q_areas > 0, bound, 0.0)
+        sim = np.minimum(1.0, 2.0 * inter / np.maximum(query_areas, 1))
+        return (query_areas > 0) - sim
 
 
 @dataclass(frozen=True, repr=False)
 class OverlapMetric(Metric):
     """Overlap distance ``1 − |q ∩ t| / min(|q|, |t|)``.
+
+    Two empty sets coincide (distance 0); an empty set against a
+    non-empty one shares nothing (distance 1).
 
     Bound: since min(|q|,|t|) ≤ |q| and any transaction could in the worst
     case be a single item inside ``q ∩ s``, the only safe bound without
@@ -349,78 +255,23 @@ class OverlapMetric(Metric):
 
     name = "overlap"
 
-    def distance(self, query: Signature, other: Signature) -> float:
-        denom = min(query.area, other.area)
-        if denom == 0:
-            # Convention: two empty sets coincide (distance 0); an empty
-            # set against a non-empty one shares nothing (distance 1).
-            return 0.0 if query.area == other.area else 1.0
-        return 1.0 - query.intersect_count(other) / denom
-
-    def distance_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        areas = np.asarray(bitops.popcount(matrix), dtype=np.float64)
-        denom = np.minimum(areas, query.area)
-        sim = np.where(
-            denom > 0,
-            inter / np.maximum(denom, 1),
-            np.where(areas == query.area, 1.0, 0.0),
-        )
-        return 1.0 - sim
-
-    def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
-        if query.area == 0:
-            return 0.0
-        if query.intersect_count(entry_sig) == 0:
-            return 1.0
-        return 0.0
-
-    def lower_bound_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        if query.area == 0:
-            return np.zeros(matrix.shape[0], dtype=np.float64)
-        covered = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        return np.where(covered == 0, 1.0, 0.0)
-
-    def distance_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        inter = bitops.cross_intersect_count(queries, matrix)
-        entry_areas = np.asarray(bitops.popcount(matrix), dtype=np.int64)
-        return self.distance_matrix_from_counts(inter, query_areas, entry_areas)
-
-    def lower_bound_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        covered = bitops.cross_intersect_count(queries, matrix)
-        return self.lower_bound_matrix_from_counts(
-            covered, query_areas, np.empty(0, dtype=np.int64)
-        )
-
     def distance_matrix_from_counts(
         self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
     ) -> np.ndarray:
-        inter = inter.astype(np.float64)
-        areas = entry_areas.astype(np.float64)[None, :]
-        q_areas = query_areas.astype(np.float64)[:, None]
-        denom = np.minimum(areas, q_areas)
-        sim = np.where(
-            denom > 0,
-            inter / np.maximum(denom, 1),
-            np.where(areas == q_areas, 1.0, 0.0),
-        )
-        return 1.0 - sim
+        denom = np.minimum(query_areas, entry_areas)
+        return (query_areas + entry_areas > 0) - inter / np.maximum(denom, 1)
 
     def lower_bound_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
+        self, inter: np.ndarray, query_areas: np.ndarray
     ) -> np.ndarray:
-        q_areas = query_areas.astype(np.float64)[:, None]
-        covered = inter.astype(np.float64)
-        return np.where(q_areas > 0, np.where(covered == 0, 1.0, 0.0), 0.0)
+        return np.where((inter == 0) & (query_areas > 0), 1.0, 0.0)
 
 
 @dataclass(frozen=True, repr=False)
 class CosineMetric(Metric):
     """Binary cosine distance ``1 − |q ∩ t| / sqrt(|q| · |t|)``.
+
+    Empty sets follow :class:`OverlapMetric`'s convention.
 
     Bound: write ``c = |q ∩ t|``.  Coverage gives ``c ≤ |q ∩ s|`` and any
     member satisfies ``|t| ≥ c``, so
@@ -429,72 +280,16 @@ class CosineMetric(Metric):
 
     name = "cosine"
 
-    def distance(self, query: Signature, other: Signature) -> float:
-        denom = (query.area * other.area) ** 0.5
-        if denom == 0:
-            return 0.0 if query.area == other.area else 1.0
-        return 1.0 - query.intersect_count(other) / denom
-
-    def distance_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        inter = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        areas = np.asarray(bitops.popcount(matrix), dtype=np.float64)
-        denom = np.sqrt(areas * query.area)
-        sim = np.where(
-            denom > 0,
-            inter / np.maximum(denom, 1e-12),
-            np.where(areas == query.area, 1.0, 0.0),
-        )
-        return 1.0 - sim
-
-    def lower_bound(self, query: Signature, entry_sig: Signature) -> float:
-        if query.area == 0:
-            return 0.0
-        covered = query.intersect_count(entry_sig)
-        return 1.0 - (covered / query.area) ** 0.5
-
-    def lower_bound_many(self, query: Signature, matrix: np.ndarray) -> np.ndarray:
-        if query.area == 0:
-            return np.zeros(matrix.shape[0], dtype=np.float64)
-        covered = np.asarray(bitops.intersect_count(matrix, query.words), dtype=np.float64)
-        return 1.0 - np.sqrt(covered / query.area)
-
-    def distance_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        inter = bitops.cross_intersect_count(queries, matrix)
-        entry_areas = np.asarray(bitops.popcount(matrix), dtype=np.int64)
-        return self.distance_matrix_from_counts(inter, query_areas, entry_areas)
-
-    def lower_bound_matrix(
-        self, queries: np.ndarray, query_areas: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        covered = bitops.cross_intersect_count(queries, matrix)
-        return self.lower_bound_matrix_from_counts(
-            covered, query_areas, np.empty(0, dtype=np.int64)
-        )
-
     def distance_matrix_from_counts(
         self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
     ) -> np.ndarray:
-        inter = inter.astype(np.float64)
-        areas = entry_areas.astype(np.float64)[None, :]
-        q_areas = query_areas.astype(np.float64)[:, None]
-        denom = np.sqrt(areas * q_areas)
-        sim = np.where(
-            denom > 0,
-            inter / np.maximum(denom, 1e-12),
-            np.where(areas == q_areas, 1.0, 0.0),
-        )
-        return 1.0 - sim
+        denom = np.sqrt(query_areas * entry_areas)
+        return (query_areas + entry_areas > 0) - inter / np.maximum(denom, 1.0)
 
     def lower_bound_matrix_from_counts(
-        self, inter: np.ndarray, query_areas: np.ndarray, entry_areas: np.ndarray
+        self, inter: np.ndarray, query_areas: np.ndarray
     ) -> np.ndarray:
-        q_areas = query_areas.astype(np.float64)[:, None]
-        covered = inter.astype(np.float64)
-        return np.where(
-            q_areas > 0, 1.0 - np.sqrt(covered / np.maximum(q_areas, 1.0)), 0.0
-        )
+        return (query_areas > 0) - np.sqrt(inter / np.maximum(query_areas, 1))
 
 
 HAMMING = HammingMetric()

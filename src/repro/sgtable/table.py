@@ -30,7 +30,6 @@ measures.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from ..core import bitops
 from ..core.distance import HAMMING, Metric, resolve_metric
 from ..core.signature import Signature
 from ..core.transaction import Transaction
-from ..sgtree.search import Neighbor, SearchStats
+from ..sgtree.search import KnnHeap, Neighbor, SearchStats
 from ..storage.page import DEFAULT_PAGE_SIZE
 from .itemclust import cluster_items
 
@@ -268,28 +267,19 @@ class SGTable:
             else {code: 0.0 for code in self._buckets}
         )
         order = sorted(bounds, key=lambda code: bounds[code])
-        best: list[tuple[float, int]] = []  # max-heap via (-distance, tid)
+        best = KnnHeap(k)
         for code in order:
-            if len(best) >= k and bounds[code] > -best[0][0]:
+            if bounds[code] > best.threshold:
                 break
             bucket = self._buckets[code]
             local.node_accesses += 1
             local.random_ios += bucket.pages(self.page_size)
             local.leaf_entries += len(bucket.tids)
-            distances = metric.distance_many(query, bucket.signature_matrix())
-            if len(best) < k:
-                candidates = np.argsort(distances, kind="stable")
-            else:
-                mask = np.flatnonzero(distances < -best[0][0])
-                candidates = mask[np.argsort(distances[mask], kind="stable")]
-            for i in candidates:
-                distance = float(distances[i])
-                if len(best) < k:
-                    heapq.heappush(best, (-distance, bucket.tids[i]))
-                elif distance < -best[0][0]:
-                    heapq.heapreplace(best, (-distance, bucket.tids[i]))
+            best.offer_many(
+                metric.distance_many(query, bucket.signature_matrix()), bucket.tids
+            )
         self._accumulate(local, stats)
-        return sorted(Neighbor(-d, tid) for d, tid in best)
+        return best.results()
 
     def range_query(
         self,

@@ -360,7 +360,7 @@ class _BatchContext:
             self.qmatrix[qidx], node.signature_matrix()
         )
         distances = metric.distance_matrix_from_counts(
-            inter, self.qareas[qidx], node.entry_areas()
+            inter, self.qareas[qidx][:, None], node.entry_areas()
         )
         rows, cols = np.nonzero(distances <= self._tau[qidx][:, None])
         return rows, cols, distances[rows, cols]

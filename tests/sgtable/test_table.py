@@ -70,9 +70,8 @@ class TestSearch:
     def test_nearest_matches_scan(self, dataset, queries, k):
         _, table, scan = dataset
         for query in queries:
-            got = table.nearest(query, k=k)
-            expected = scan.nearest(query, k=k)
-            assert [n.distance for n in got] == [n.distance for n in expected]
+            # exact (distance, tid) order, ties at the k-th distance included
+            assert table.nearest(query, k=k) == scan.nearest(query, k=k)
 
     def test_results_sorted(self, dataset, queries):
         _, table, _ = dataset
@@ -99,10 +98,7 @@ class TestSearch:
         _, table, scan = dataset
         for query in queries[:5]:
             got = table.nearest(query, k=3, metric="jaccard")
-            expected = scan.nearest(query, k=3, metric="jaccard")
-            assert [n.distance for n in got] == pytest.approx(
-                [n.distance for n in expected]
-            )
+            assert got == scan.nearest(query, k=3, metric="jaccard")
 
     def test_invalid_args(self, dataset):
         _, table, _ = dataset

@@ -262,7 +262,7 @@ class TestDirectoryBounds:
                     areas = np.asarray(bitops.popcount(members), dtype=np.int64)
                     swept = metric.distance_matrix_from_counts(
                         bitops.cross_intersect_count(ctx.qmatrix, members),
-                        ctx.qareas, areas,
+                        ctx.qareas[:, None], areas,
                     )
                     for q, query in enumerate(queries):
                         nearest = min(
